@@ -143,7 +143,7 @@ def bench_parallel(out_path: str, repeats: int, workers: list[int]) -> int:
 
     doc = {
         "description": "Wall-clock: ParallelBackend (sharded "
-                       "multiprocessing, per-shard combine under BR) vs "
+                       "backend over a fork pool) vs "
                        "FastBackend, mode=SIO, best of N runs.  Speedup "
                        "requires real cores: on a single-core host the "
                        "pool can only add dispatch overhead.",

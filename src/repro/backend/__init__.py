@@ -12,8 +12,7 @@ are orthogonal to *how* they execute.  A
   that skips warp-level simulation.  Orders of magnitude faster; use
   it for correctness runs, large inputs and development loops.
 * ``"parallel"`` — :class:`ParallelBackend`: the fast executor
-  sharded across a ``multiprocessing`` pool with per-shard partial
-  combining and a key-range-partitioned Reduce.  ``"parallel:N"``
+  sharded across a forked ``multiprocessing`` pool.  ``"parallel:N"``
   pins the worker count; plain ``"parallel"`` honours
   ``$REPRO_WORKERS`` and defaults to the CPU count.
 * ``"columnar"`` — :class:`ColumnarBackend`: the fast executor pinned
@@ -23,10 +22,13 @@ are orthogonal to *how* they execute.  A
   or ``$REPRO_COLUMNAR=1``.
 * ``"dist"`` — :class:`DistributedBackend`: the fast executor run as
   a coordinator over socket-connected worker processes, with
-  GFS-style map splits, worker-death re-execution, speculative
-  straggler duplicates, and scriptable fault injection
-  (:class:`repro.dist.FaultPlan`).  ``"dist:N"`` pins the worker
-  count, like ``"parallel:N"``.
+  worker-death re-execution, speculative straggler duplicates, and
+  scriptable fault injection (:class:`repro.dist.FaultPlan`).
+  ``"dist:N"`` pins the worker count, like ``"parallel:N"``.
+
+``"parallel"`` and ``"dist"`` are one sharded backend
+(:mod:`repro.backend.sharded`: byte-split Map tasks, key-range Reduce
+tasks, output byte-identical to ``"fast"``) over two transports.
 
 Select per call (``run_job(..., backend="fast")``), or process-wide
 with the ``REPRO_BACKEND`` environment variable (read when a driver is

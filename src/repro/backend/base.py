@@ -6,7 +6,7 @@ upload, Map, Shuffle, Reduce, and charged output download — plus the
 uncharged host/device conversions the streamed driver needs between
 its batched Map and the Shuffle.
 
-Three implementations ship:
+The main implementations:
 
 * :class:`repro.backend.sim.SimBackend` — the cycle-accurate
   discrete-event simulator (the paper's numbers).  Intermediate
@@ -16,11 +16,11 @@ Three implementations ship:
   executor that skips warp-level simulation entirely.  Handles are
   plain host :class:`~repro.framework.records.KeyValueSet` objects;
   only the host<->device transfer model is costed.
-* :class:`repro.backend.parallel.ParallelBackend` — the fast
-  executor sharded across a ``multiprocessing`` worker pool, with a
-  per-shard partial combine and a key-range-partitioned Reduce.
-  Handles are host record sets or the backend's private shard
-  summaries.
+* :class:`repro.backend.sharded.ShardedBackend` — the fast executor
+  sharded across worker processes (byte-split Map tasks, key-range
+  Reduce tasks) over a fork-pool (``"parallel"``) or socket
+  (``"dist"``) transport.  Handles are host record sets or the
+  backend's private spill-run lists.
 
 Handles are deliberately opaque to the core: it only ever passes them
 back into the same backend.
@@ -60,7 +60,7 @@ class ExecutionBackend(abc.ABC):
 
         Called exactly once by the execution core when the job finishes
         (normally or with an error).  The default is a no-op; backends
-        owning OS resources (the parallel backend's worker pool)
+        owning OS resources (the sharded backends' worker processes)
         override it.
         """
 
@@ -148,5 +148,5 @@ class ExecutionBackend(abc.ABC):
         """Per-shard :class:`~repro.obs.telemetry.ShardProfile` list
         collected during the job, or None when this backend has no
         cross-process workers to profile (the default: only the
-        parallel backend ships work to other processes)."""
+        sharded backends ship work to other processes)."""
         return None

@@ -35,9 +35,9 @@ from functools import reduce as _fold
 from ..errors import FrameworkError
 from ..framework.columns import ColumnBatch, GroupedColumns
 from ..framework.host import host_download_cost, host_upload_cost
-from ..framework.modes import ReduceStrategy, effective_reduce_mode
+from ..framework.modes import ReduceStrategy
 from ..framework.records import KeyValueSet
-from ..gpu.accessor import Accessor, AccessTrace
+from ..gpu.accessor import Accessor, host_accessor
 from ..gpu.config import DeviceConfig
 from ..gpu.stats import KernelStats
 from ..store import (
@@ -84,23 +84,6 @@ def _batch_records() -> int:
             f"${COLUMNAR_BATCH_ENV} must be >= 1, got {raw!r}"
         )
     return n
-
-
-class _NullTrace(AccessTrace):
-    """An access trace that records nothing (shared by all accessors)."""
-
-    __slots__ = ()
-
-    def touch(self, start: int, nbytes: int) -> None:
-        return
-
-
-#: One shared no-op trace: accessors built on it never allocate lists.
-NULL_TRACE = _NullTrace()
-
-
-def _accessor(data: bytes) -> Accessor:
-    return Accessor(data, NULL_TRACE)
 
 
 @dataclass
@@ -235,14 +218,14 @@ class FastBackend(ExecutionBackend):
         spec = ctx.plan.spec
         out = KeyValueSet()
         emit = _emit_into(out)
-        const = _accessor(spec.const_bytes) if spec.const_bytes else None
+        const = host_accessor(spec.const_bytes) if spec.const_bytes else None
         map_record = spec.map_record
         # Host-execution sub-span: zero sim cycles by design, but under
         # a dual-clock tracer it carries the real wall time of the loop
         # — this is what makes `repro-trace --backend fast` non-empty.
         with tr.span("map_exec", records=len(d_in)) as sp:
             for k, v in d_in:
-                map_record(_accessor(k), _accessor(v), emit, const)
+                map_record(host_accessor(k), host_accessor(v), emit, const)
             if sp is not None:
                 sp.attrs["emitted"] = len(out)
         stats = _phase_stats(ctx, records_in=len(d_in), records_out=len(out))
@@ -262,7 +245,7 @@ class FastBackend(ExecutionBackend):
         map_batch = spec.map_batch
         map_record = spec.map_record
         const_bytes = spec.const_bytes
-        const = _accessor(const_bytes) if const_bytes else None
+        const = host_accessor(const_bytes) if const_bytes else None
         parts: list[ColumnBatch] = []
         vec = fallback = 0
         with tr.span("map_exec", records=n) as sp:
@@ -282,8 +265,8 @@ class FastBackend(ExecutionBackend):
                     part = KeyValueSet()
                     emit = _emit_into(part)
                     for i in range(lo, hi):
-                        map_record(_accessor(keys[i]), _accessor(vals[i]),
-                                   emit, const)
+                        map_record(host_accessor(keys[i]),
+                                   host_accessor(vals[i]), emit, const)
                     res = ColumnBatch.from_kvs(part)
                     fallback += 1
                 else:
@@ -358,23 +341,12 @@ class FastBackend(ExecutionBackend):
 
     def reduce_phase(self, ctx, grouped, tr, *, include_grid=True):
         plan = ctx.plan
+        plan.check_reduce()
         spec = plan.spec
         strategy = plan.strategy
-        if plan.is_mars and spec.reduce_record is None:
-            raise FrameworkError(
-                f"{spec.name}: Mars reduce needs a TR reduce fn"
-            )
-        if not plan.is_mars:
-            # Same legality checks as the sim's reduce engine (BR x GT
-            # is rejected; TR without a reduce fn is rejected).
-            effective_reduce_mode(plan.reduce_mode, strategy)
-            if strategy is ReduceStrategy.TR and spec.reduce_record is None:
-                raise FrameworkError(
-                    f"workload {spec.name} has no TR reduce function"
-                )
         out = KeyValueSet()
         emit = _emit_into(out)
-        const = _accessor(spec.const_bytes) if spec.const_bytes else None
+        const = host_accessor(spec.const_bytes) if spec.const_bytes else None
         lazy = isinstance(grouped, StoreGroups)
         columnar = isinstance(grouped, GroupedColumns)
         span_attrs = {} if lazy else {"groups": len(grouped)}
@@ -415,7 +387,7 @@ class FastBackend(ExecutionBackend):
                 def acc_of(data: bytes) -> Accessor:
                     a = cache.get(data)
                     if a is None:
-                        a = _accessor(data)
+                        a = host_accessor(data)
                         cache[data] = a
                     return a
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from ..errors import FrameworkError
 from ..framework.api import MapReduceSpec
 from ..framework.modes import AUTO, MemoryMode, ReduceStrategy, \
-    resolve_mode_name, resolve_strategy_name
+    effective_reduce_mode, resolve_mode_name, resolve_strategy_name
 from ..gpu.config import DeviceConfig
 
 #: Engine selectors: the paper's single-pass shared-memory framework
@@ -140,6 +140,24 @@ class JobPlan:
         return replace(self, mode=mode, reduce_mode=reduce_mode,
                        strategy=strategy, threads_per_block=tpb,
                        store=store)
+
+    def check_reduce(self) -> None:
+        """Reject a Reduce no executor may run — the sim's reduce
+        engine rules, shared by every functional backend: Mars needs a
+        TR reduce fn, BR x GT is illegal, TR needs a reduce fn."""
+        spec = self.spec
+        if self.is_mars:
+            if spec.reduce_record is None:
+                raise FrameworkError(
+                    f"{spec.name}: Mars reduce needs a TR reduce fn"
+                )
+            return
+        effective_reduce_mode(self.reduce_mode, self.strategy)
+        if (self.strategy is ReduceStrategy.TR
+                and spec.reduce_record is None):
+            raise FrameworkError(
+                f"workload {spec.name} has no TR reduce function"
+            )
 
     # ------------------------------------------------------------------
     # Presentation (labels + tracer span attributes)

@@ -215,9 +215,9 @@ class FuzzFailure:
 def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
     """Run one case across all five executors; None means it passed.
 
-    The fuzz kernels emit only u32 integer values, so every backend —
-    including the parallel backend's per-shard partial combine — must
-    be byte-exact against the oracle after order normalisation.
+    The fuzz kernels emit only u32 integer values, so every backend
+    must be byte-exact against the oracle after order normalisation;
+    the parallel backend must also be byte-identical to fast.
     """
     from ..backend.fast import FastBackend
     from ..backend.parallel import ParallelBackend
@@ -287,10 +287,10 @@ def run_chaos_case(case: FuzzCase, config: DeviceConfig,
                    seed: int) -> str | None:
     """Run one case on dist:2 under a seeded worker kill; None = pass.
 
-    The distributed backend ships plain pairs (no partial combine), so
-    even with a worker dying mid-phase its output must be byte-identical
-    to the fast backend — and the coordinator's event log must show
-    exactly one accepted completion per (phase, shard).
+    The distributed backend ships plain pairs, so even with a worker
+    dying mid-phase its output must be byte-identical to the fast
+    backend — and the coordinator's event log must show exactly one
+    accepted completion per (phase, shard).
     """
     from ..backend.distributed import DistributedBackend
 

@@ -52,9 +52,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import FrameworkError
-from . import worker as worker_mod
 from .faults import FaultPlan
+from .tasks import configure
 from .wire import FrameReader, recv_msg, send_msg
+from .worker import worker_main
 
 #: A shard is abandoned after this many attempts (initial + retries).
 DEFAULT_MAX_ATTEMPTS = 4
@@ -175,7 +176,7 @@ class Cluster:
         if self._started:
             raise FrameworkError("cluster already started")
         self._started = True
-        worker_mod.configure(spec, strategy, is_mars)
+        configure(spec, strategy, is_mars)
         self._mp = multiprocessing.get_context("fork")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
@@ -190,7 +191,7 @@ class Cluster:
 
     def _fork(self, idx: int) -> None:
         proc = self._mp.Process(
-            target=worker_mod.worker_main,
+            target=worker_main,
             args=(self._port, idx, self.fault_plan.for_worker(idx)),
             daemon=True,
         )

@@ -3,19 +3,19 @@
 One worker = one OS process, forked by the coordinator and connected
 back over localhost TCP (:mod:`repro.dist.wire` frames).  The
 Map/Reduce user functions reach the worker by fork inheritance —
-:func:`configure` is called in the coordinator process immediately
-before each fork, so arbitrary closures (test kernels included) never
-cross the wire; only shard payloads and results do.
+:func:`repro.dist.tasks.configure` is called in the coordinator
+process immediately before each fork, so arbitrary closures (test
+kernels included) never cross the wire; only shard payloads and
+results do.
 
-Task execution mirrors the parallel backend's pool workers: the same
-emit validation, the same accessor memoisation, the same per-shard
-:class:`~repro.obs.telemetry.ShardProfile` wall-clock bounds — but
-with the :class:`~repro.dist.faults.WorkerFault` hooks threaded
-through the record loops so a scripted kill/drop/delay trips at a
-deterministic record count.  A worker never retries or dedupes
-anything: it is deliberately dumb and mortal, per the MapReduce
-"workers assumed faulty" design — all recovery logic lives in the
-coordinator.
+The task bodies are the ones the parallel backend's pool workers run
+(:mod:`repro.dist.tasks`).  This module adds only the socket loop and
+the :class:`~repro.dist.faults.WorkerFault` state, whose ``tick`` hook
+is threaded through the record loops so a scripted kill/drop/delay
+trips at a deterministic record count.  A worker never retries or
+dedupes anything: it is deliberately dumb and mortal, per the
+MapReduce "workers assumed faulty" design — all recovery logic lives
+in the coordinator.
 
 User-kernel exceptions are *reported*, not fatal: the worker sends an
 ``error`` reply and keeps serving.  A deterministic kernel bug would
@@ -29,49 +29,9 @@ import os
 import socket
 import time
 
-from ..errors import FrameworkError
-from ..framework.modes import ReduceStrategy
-from ..gpu.accessor import Accessor, AccessTrace
-from ..store import SpillStore
 from .faults import KILL_EXIT, WorkerFault
+from .tasks import run_task
 from .wire import ConnectionClosed, recv_msg, send_msg
-
-
-class _NullTrace(AccessTrace):
-    """No-op access trace (the fast backend's trick, kept local so the
-    dist package never imports :mod:`repro.backend` — that would be a
-    circular import)."""
-
-    __slots__ = ()
-
-    def touch(self, start: int, nbytes: int) -> None:
-        return
-
-
-_NULL_TRACE = _NullTrace()
-
-
-def _accessor(data: bytes) -> Accessor:
-    return Accessor(data, _NULL_TRACE)
-
-
-# ----------------------------------------------------------------------
-# Fork-inherited job state
-# ----------------------------------------------------------------------
-
-_SPEC = None
-_STRATEGY: ReduceStrategy | None = None
-_IS_MARS = False
-
-
-def configure(spec, strategy, is_mars) -> None:
-    """Install the job's spec in this process; call in the coordinator
-    immediately before forking so children inherit it."""
-    global _SPEC, _STRATEGY, _IS_MARS
-    _SPEC = spec
-    _STRATEGY = strategy
-    _IS_MARS = is_mars
-
 
 # ----------------------------------------------------------------------
 # Fault machinery
@@ -115,164 +75,6 @@ class _FaultState:
 
 
 # ----------------------------------------------------------------------
-# Emit closures (same validation contract as the other backends)
-# ----------------------------------------------------------------------
-
-
-def _collecting_emit(out: list[tuple[bytes, bytes]]):
-    append = out.append
-
-    def emit(k, v) -> None:
-        if type(k) is not bytes or type(v) is not bytes:
-            if not isinstance(k, (bytes, bytearray)) or not isinstance(
-                v, (bytes, bytearray)
-            ):
-                raise FrameworkError("keys and values must be bytes")
-            k, v = bytes(k), bytes(v)
-        append((k, v))
-
-    return emit
-
-
-def _store_emit(store: SpillStore):
-    emit_kv = store.emit
-
-    def emit(k, v) -> None:
-        if type(k) is not bytes or type(v) is not bytes:
-            if not isinstance(k, (bytes, bytearray)) or not isinstance(
-                v, (bytes, bytearray)
-            ):
-                raise FrameworkError("keys and values must be bytes")
-            k, v = bytes(k), bytes(v)
-        emit_kv(k, v)
-
-    return emit
-
-
-# ----------------------------------------------------------------------
-# Task execution
-# ----------------------------------------------------------------------
-
-
-def _profile(t0: int, records_in: int, records_out: int,
-             distinct_keys: int = 0, **extra) -> dict:
-    doc = {
-        "pid": os.getpid(), "start_ns": t0,
-        "end_ns": time.perf_counter_ns(), "records_in": records_in,
-        "records_out": records_out, "distinct_keys": distinct_keys,
-    }
-    doc.update(extra)
-    return doc
-
-
-def _run_map(msg: dict, state: _FaultState) -> dict:
-    shard, attempt = msg["shard"], msg["attempt"]
-    pairs = msg["pairs"]
-    spec = _SPEC
-    t0 = time.perf_counter_ns()
-    const = _accessor(spec.const_bytes) if spec.const_bytes else None
-    map_record = spec.map_record
-    reply = {"type": "result", "phase": "map", "shard": shard,
-             "attempt": attempt, "epoch": msg.get("epoch")}
-
-    spill = msg.get("spill")
-    if spill is not None:
-        run_dir, budget = spill
-        # Dispatch-scoped run prefix: the coordinator's seq token is
-        # unique per task send, so a killed attempt's partial files —
-        # or a twin's (a speculated copy and a death-requeued retry
-        # can share (shard, attempt)) — can never collide with, or be
-        # merged as, the accepted execution's runs.
-        store = SpillStore(
-            budget, spill_dir=run_dir,
-            prefix=f"s{shard:04d}a{attempt:02d}d{msg.get('seq', 0):06d}",
-            own_dir=False)
-        emit = _store_emit(store)
-        if state.trips:
-            for k, v in pairs:
-                state.tick("map")
-                map_record(_accessor(k), _accessor(v), emit, const)
-        else:
-            for k, v in pairs:
-                map_record(_accessor(k), _accessor(v), emit, const)
-        runs = store.flush_runs()
-        st = store.stats
-        reply["spilled"] = {
-            "runs": runs, "emitted": st.emitted_records,
-            "peak_bytes": st.peak_bytes, "spill_runs": st.spill_runs,
-            "spilled_bytes": st.spilled_bytes,
-        }
-        reply["profile"] = _profile(
-            t0, len(pairs), st.emitted_records,
-            spill_runs=st.spill_runs, spilled_bytes=st.spilled_bytes,
-        )
-        return reply
-
-    out: list[tuple[bytes, bytes]] = []
-    emit = _collecting_emit(out)
-    if state.trips:
-        for k, v in pairs:
-            state.tick("map")
-            map_record(_accessor(k), _accessor(v), emit, const)
-    else:
-        for k, v in pairs:
-            map_record(_accessor(k), _accessor(v), emit, const)
-    reply["pairs"] = out
-    reply["profile"] = _profile(t0, len(pairs), len(out),
-                                len({k for k, _ in out}))
-    return reply
-
-
-def _run_reduce(msg: dict, state: _FaultState) -> dict:
-    shard, attempt = msg["shard"], msg["attempt"]
-    groups = msg["groups"]
-    spec = _SPEC
-    t0 = time.perf_counter_ns()
-    out: list[tuple[bytes, bytes]] = []
-    emit = _collecting_emit(out)
-    const = _accessor(spec.const_bytes) if spec.const_bytes else None
-    n_values = 0
-    ticking = bool(state.trips)
-
-    if _STRATEGY is ReduceStrategy.BR and not _IS_MARS:
-        combine, finalize = spec.combine, spec.finalize
-        for key, values in groups:
-            n_values += len(values)
-            if ticking:
-                for _ in values:
-                    state.tick("reduce")
-            acc = values[0]
-            for v in values[1:]:
-                acc = combine(acc, v)
-            k_out, v_out = finalize(key, acc, len(values))
-            out.append((bytes(k_out), bytes(v_out)))
-    else:
-        reduce_record = spec.reduce_record
-        cache: dict[bytes, Accessor] = {}
-
-        def acc_of(data: bytes) -> Accessor:
-            a = cache.get(data)
-            if a is None:
-                a = _accessor(data)
-                cache[data] = a
-            return a
-
-        for key, values in groups:
-            n_values += len(values)
-            if ticking:
-                for _ in values:
-                    state.tick("reduce")
-            reduce_record(acc_of(key), [acc_of(v) for v in values],
-                          emit, const)
-
-    return {
-        "type": "result", "phase": "reduce", "shard": shard,
-        "attempt": attempt, "epoch": msg.get("epoch"), "pairs": out,
-        "profile": _profile(t0, n_values, len(out), len(groups)),
-    }
-
-
-# ----------------------------------------------------------------------
 # Main loop
 # ----------------------------------------------------------------------
 
@@ -301,9 +103,13 @@ def worker_main(port: int, worker_id: int,
                                 "phase": kind, "epoch": msg.get("epoch"),
                                 "message": f"unknown task type {kind!r}"})
                 continue
+            reply = {"type": "result", "phase": kind,
+                     "shard": msg.get("shard"),
+                     "attempt": msg.get("attempt"),
+                     "epoch": msg.get("epoch")}
             try:
-                reply = (_run_map(msg, state) if kind == "map"
-                         else _run_reduce(msg, state))
+                reply.update(run_task(
+                    kind, msg, state.tick if state.trips else None))
             except _DropConnection:
                 # Scripted drop: no reply, close the socket, exit 0.
                 return

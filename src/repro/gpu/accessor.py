@@ -56,6 +56,25 @@ class AccessTrace:
         self.words.clear()
 
 
+class _NullTrace(AccessTrace):
+    """An access trace that records nothing (shared by all accessors)."""
+
+    __slots__ = ()
+
+    def touch(self, start: int, nbytes: int) -> None:
+        return
+
+
+#: One shared no-op trace: accessors built on it never allocate lists.
+NULL_TRACE = _NullTrace()
+
+
+def host_accessor(data: bytes) -> "Accessor":
+    """An untraced view, for executors that run user functions on the
+    host and never replay the access trace."""
+    return Accessor(data, NULL_TRACE)
+
+
 class Accessor:
     """Read-only, access-traced view of one record's bytes.
 

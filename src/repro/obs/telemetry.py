@@ -1,19 +1,19 @@
 """Cross-process worker telemetry: shard profiles and straggler math.
 
-The parallel backend's forked workers each record a lightweight
-:class:`ShardProfile` for the shard they executed — wall-clock bounds
+The sharded backends' forked workers each record a lightweight
+profile of the shard they executed — wall-clock bounds
 (``perf_counter_ns``; forked children share the parent's clock epoch,
-so stamps are directly comparable), record and emission counts, and
-the distinct-key width of any per-shard combine.  Profiles ship back
-with the shard results, merge into the parent
+so stamps are directly comparable), record and emission counts, the
+shard's distinct-key width and any spill activity.  Profiles ship back
+with the shard results as plain dicts, become :class:`ShardProfile`
+records in the coordinator, merge into the parent
 :class:`~repro.obs.tracer.Tracer` as per-worker tracks, and aggregate
 into a :class:`WorkerSummary` — the max-vs-median shard time and skew
-ratio that the distributed-backend roadmap item needs for straggler
-detection (the Xeon Phi MapReduce work leans on exactly this
-per-thread phase profiling to find imbalance).
+ratio used for straggler detection (the Xeon Phi MapReduce work leans
+on exactly this per-thread phase profiling to find imbalance).
 
-Everything here is plain data: profiles cross the process boundary by
-pickling, so no field may hold user callables or live handles.
+Everything here is plain data: no field may hold user callables or
+live handles.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ class ShardProfile:
     records_in: int       # records (map) or value count (reduce) in
     records_out: int      # records emitted by the user function
     distinct_keys: int = 0  # peak shuffle-key width seen by the shard
-    combined: bool = False  # did the shard run a partial combine?
-    combine_ns: int = 0     # share of wall_ns spent in the combine
     spill_runs: int = 0     # sorted runs this shard wrote to disk
     spilled_bytes: int = 0  # payload bytes across this shard's runs
 
@@ -54,8 +52,6 @@ class ShardProfile:
             "wall_ns": self.wall_ns, "records_in": self.records_in,
             "records_out": self.records_out,
             "distinct_keys": self.distinct_keys,
-            "combined": self.combined,
-            "combine_ns": self.combine_ns,
             "spill_runs": self.spill_runs,
             "spilled_bytes": self.spilled_bytes,
         }

@@ -267,7 +267,7 @@ class TestWorkerCountValidation:
         assert get_backend("parallel:3").workers == 3
 
     def test_workers_env_rejects_bad_values(self, monkeypatch):
-        from repro.backend.parallel import default_workers
+        from repro.backend.sharded import default_workers
 
         for bad in ("0", "-1", "abc", "1.5"):
             monkeypatch.setenv("REPRO_WORKERS", bad)

@@ -6,9 +6,8 @@ cycle-accurate simulator and to the CPU reference oracle (normalised
 ordering — atomic appends legitimately permute records; float32
 tolerance where summation order differs, exactly as the conformance
 matrix does).  The sharded parallel backend must match the fast
-backend *exactly* — same records, same order — except for float BR
-combines, where per-shard partial combining regroups the fold and the
-usual float32 tolerance applies.
+backend *exactly* — same records, same order — float BR folds
+included: workers ship plain pairs and fold each group in full.
 
 A fourth executor rides along: the fast backend with the spill store
 forced down to a tiny budget, so every case's shuffle goes through
@@ -25,10 +24,10 @@ float workloads (KM, SS, LR) match under the usual float32 tolerance.
 The seventh and eighth executors are the distributed backend
 (``dist:2`` — coordinator + socket workers, GFS-style splits forced
 small so every case really schedules multiple tasks) and ``dist:2``
-with the spill store at the same tiny budget.  Dist ships plain pairs
-(no partial combine), so its contract is the strictest of all the
-multi-process executors: byte-identical to the fast backend for
-*every* workload, float BR folds included.
+with the spill store at the same tiny budget.  Dist runs the same
+sharded skeleton and task bodies as the parallel backend over a
+different transport, so its contract is the same: byte-identical to
+the fast backend for *every* workload, float BR folds included.
 """
 
 import pytest
@@ -108,12 +107,8 @@ def test_fast_matches_sim_and_oracle(workload, mode, strategy):
     assert fast.intermediate_count == sim.intermediate_count
     assert len(fast.output) == len(sim.output)
 
-    # Parallel: byte-identical to fast, except float BR partial
-    # combines (fold regrouping) which match under float32 tolerance.
-    if fv and strategy is ReduceStrategy.BR:
-        assert outputs_match(par.output, fast.output, float32_values=True)
-    else:
-        assert par.output == fast.output
+    # Parallel: byte-identical to fast, float BR folds included.
+    assert par.output == fast.output
     assert par.intermediate_count == fast.intermediate_count
     assert par.mode == fast.mode and par.strategy == fast.strategy
 

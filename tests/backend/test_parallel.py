@@ -1,10 +1,11 @@
 """ParallelBackend: sharded multi-process execution.
 
-The contract under test: output is *record-identical* to the fast
+The contract under test: output is *byte-identical* to the fast
 backend (same records, same order) for every driver — single-shot,
 map-only, streamed, Mars — whether the pool engages or the tiny-input
-fallback runs in-process, and the BR partial combine preserves both
-the fold result and the value counts ``finalize`` receives.
+fallback runs in-process, and BR folds across splits preserve both the
+fold result (floats included) and the value counts ``finalize``
+receives.
 """
 
 import os
@@ -12,9 +13,8 @@ import struct
 
 import pytest
 
-from repro.analysis.validation import outputs_match
 from repro.backend import BACKENDS, ParallelBackend, get_backend
-from repro.backend.parallel import WORKERS_ENV, default_workers
+from repro.backend.sharded import WORKERS_ENV, default_workers
 from repro.errors import FrameworkError
 from repro.framework import (
     KeyValueSet,
@@ -26,7 +26,7 @@ from repro.framework import (
 from repro.framework.host import shard_slices
 from repro.framework.streaming import run_streamed_job
 from repro.gpu import DeviceConfig
-from repro.workloads import KMeans, WordCount
+from repro.workloads import KMeans, LinearRegression, WordCount
 
 CFG = DeviceConfig.small(2)
 
@@ -111,7 +111,7 @@ class TestFastParity:
         par = run_job(spec, inp, backend=backend, **kwargs)
         assert par.output == fast.output
 
-    def test_single_worker_never_pools(self):
+    def test_single_worker_identical(self):
         spec, inp = _wc()
         backend = ParallelBackend(workers=1, min_records=0)
         res = run_job(spec, inp, mode=MemoryMode.SIO,
@@ -133,12 +133,14 @@ class TestFastParity:
         assert par.timings.map == 0.0 and par.timings.reduce == 0.0
 
     def test_sharding_counters_reported(self):
-        spec, inp = _wc()
+        # ~104 KB of input: two 64 KiB map splits; R = 2 workers x 2.
+        spec, inp = _wc(scale=1.0)
         par = run_job(spec, inp, mode=MemoryMode.SIO,
                       strategy=ReduceStrategy.TR, config=CFG,
-                      backend=_pooled(2))
-        assert par.map_stats.extra["parallel_shards"] == 2
+                      backend=_pooled(2), store="memory")
+        assert par.map_stats.extra["parallel_tasks"] == 2
         assert par.map_stats.extra["parallel_workers"] == 2
+        assert par.reduce_stats.extra["parallel_tasks"] == 4
 
     def test_auto_mode(self):
         spec, inp = _wc()
@@ -154,14 +156,14 @@ class TestFastParity:
 
 
 # ----------------------------------------------------------------------
-# BR partial combine
+# BR folds across splits
 # ----------------------------------------------------------------------
 
 
 def _mean_spec() -> MapReduceSpec:
     """BR workload whose finalize *uses the count*: integer mean.
 
-    If partial combining dropped or double-counted values, the mean
+    If splitting the input dropped or double-counted values, the mean
     would come out wrong even though the sum survived.
     """
 
@@ -196,30 +198,9 @@ class TestPartialCombine:
         assert par.output == fast.output
         assert len(par.output) == 7
 
-    def test_combine_shrinks_cross_process_traffic(self):
-        """The shard summaries carry one accumulator per distinct key
-        per shard, visible in the map stats."""
-        spec, inp = _wc(scale=0.3)
-        # Partial combining is a memory-store feature (a spilling job
-        # ships plain pairs and folds fully in Reduce), so pin the
-        # store: the suite also runs under REPRO_STORE=spill.
-        par = run_job(spec, inp, mode=MemoryMode.SIO,
-                      strategy=ReduceStrategy.BR, config=CFG,
-                      backend=_pooled(2), store="memory")
-        combined = par.map_stats.extra["parallel_combined_out"]
-        emitted = par.map_stats.extra["fast_records_out"]
-        assert 0 < combined < emitted
-        assert par.intermediate_count == emitted
-
-    def test_no_combine_under_tr(self):
-        spec, inp = _wc()
-        par = run_job(spec, inp, mode=MemoryMode.SIO,
-                      strategy=ReduceStrategy.TR, config=CFG,
-                      backend=_pooled(2))
-        assert "parallel_combined_out" not in par.map_stats.extra
-
-    def test_float_combine_within_tolerance(self):
-        """Float BR combines regroup the fold; tolerance-equal only."""
+    def test_float_br_byte_identical(self):
+        """Workers fold each BR group in full, in emission order, so
+        float accumulators match the fast backend bit for bit."""
         k = KMeans()
         inp = k.generate("small", seed=3, scale=0.25)
         spec = k.spec_for_seed(3)
@@ -227,7 +208,22 @@ class TestPartialCombine:
                       config=CFG)
         fast = run_job(spec, inp, backend="fast", **kwargs)
         par = run_job(spec, inp, backend=_pooled(3), **kwargs)
-        assert outputs_match(par.output, fast.output, float32_values=True)
+        assert par.output == fast.output
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workload", [KMeans, LinearRegression],
+                             ids=["KM", "LR"])
+    def test_float_br_pooled_identical(self, workload, workers):
+        """Float BR with the pool engaged: any regrouping of a fold
+        across shards would change the float accumulators."""
+        w = workload()
+        inp = w.generate("small", seed=3, scale=0.5)
+        spec = w.spec_for_size("small", seed=3, scale=0.5)
+        kwargs = dict(mode=MemoryMode.SIO, strategy=ReduceStrategy.BR,
+                      config=CFG)
+        fast = run_job(spec, inp, backend="fast", **kwargs)
+        par = run_job(spec, inp, backend=_pooled(workers), **kwargs)
+        assert par.output == fast.output
 
 
 # ----------------------------------------------------------------------
@@ -332,9 +328,8 @@ class TestOtherDrivers:
             assert bf.upload_cycles == bp.upload_cycles
 
     def test_streamed_br_skips_partial_combine(self):
-        """Batch outputs are flattened between Map and Shuffle, so the
-        streamed driver runs BR without shard accumulators — and still
-        matches."""
+        """Batch outputs are flattened between Map and Shuffle; the
+        streamed BR job still matches the fast backend exactly."""
         spec, inp = _wc(scale=0.3)
         kwargs = dict(strategy=ReduceStrategy.BR, n_batches=3, config=CFG)
         fast = run_streamed_job(spec, inp, backend="fast", **kwargs)
@@ -373,7 +368,7 @@ class TestLifecycle:
         backend.open = spy_open
         run_job(spec, inp, mode=MemoryMode.SIO, strategy=ReduceStrategy.TR,
                 config=CFG, backend=backend)
-        assert ctx_seen["ctx"].pool is None
+        assert ctx_seen["ctx"].transport is None
 
     def test_pool_released_on_error(self):
         def boom(key, value, emit, const):
@@ -394,7 +389,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             run_job(spec, inp, mode=MemoryMode.SIO, config=CFG,
                     backend=backend)
-        assert ctx_seen["ctx"].pool is None
+        assert ctx_seen["ctx"].transport is None
 
     def test_backend_reusable_across_jobs(self):
         spec, inp = _wc()

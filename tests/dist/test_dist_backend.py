@@ -7,11 +7,7 @@ import os
 import pytest
 
 from repro.backend import BACKENDS, DistributedBackend, get_backend
-from repro.backend.distributed import (
-    DEFAULT_SPLIT_BYTES,
-    SPLIT_BYTES_ENV,
-    resolve_split_bytes,
-)
+from repro.backend.sharded import DEFAULT_SPLIT_BYTES, resolve_split_bytes
 from repro.dist import FaultPlan, WorkerFault
 from repro.errors import FrameworkError
 from repro.framework import MemoryMode, ReduceStrategy, run_job
@@ -74,18 +70,16 @@ class TestRegistryAndEnv:
         assert isinstance(b, DistributedBackend)
         assert b.workers == 2
 
-    def test_split_bytes_env(self, monkeypatch):
-        monkeypatch.delenv(SPLIT_BYTES_ENV, raising=False)
+    def test_split_bytes_env(self):
         assert resolve_split_bytes() == DEFAULT_SPLIT_BYTES
-        monkeypatch.setenv(SPLIT_BYTES_ENV, "4096")
-        assert resolve_split_bytes() == 4096
-        assert DistributedBackend(workers=2).split_bytes == 4096
-        monkeypatch.setenv(SPLIT_BYTES_ENV, "bogus")
+        assert resolve_split_bytes(4096) == 4096
+        assert DistributedBackend(workers=2).split_bytes == DEFAULT_SPLIT_BYTES
+        assert DistributedBackend(workers=2,
+                                  split_bytes=4096).split_bytes == 4096
         with pytest.raises(FrameworkError):
-            resolve_split_bytes()
-        monkeypatch.setenv(SPLIT_BYTES_ENV, "0")
+            resolve_split_bytes(0)
         with pytest.raises(FrameworkError):
-            resolve_split_bytes()
+            DistributedBackend(workers=2, split_bytes=0)
 
 
 class TestFaultPlanUnits:

@@ -227,14 +227,14 @@ def test_twin_attempt_spill_runs_never_collide(tmp_path):
     (shard, attempt); the coordinator's per-dispatch seq token keeps
     their spill run files apart, so the loser's writes can never
     corrupt the accepted attempt's runs."""
-    from repro.dist import worker as W
+    from repro.dist.tasks import configure, run_map
 
-    W.configure(SPEC, None, False)
+    configure(SPEC, None, False)
     base = {"shard": 0, "attempt": 1, "epoch": 1,
             "pairs": [[k, v] for k, v in zip(INP.keys, INP.values)],
             "spill": [str(tmp_path), 64]}
-    r1 = W._run_map(dict(base, seq=7), W._FaultState(()))
-    r2 = W._run_map(dict(base, seq=8), W._FaultState(()))
+    r1 = run_map(dict(base, seq=7))
+    r2 = run_map(dict(base, seq=8))
     runs1, runs2 = set(r1["spilled"]["runs"]), set(r2["spilled"]["runs"])
     assert runs1 and runs2, "the tiny budget should have forced runs"
     assert not runs1 & runs2, "twin attempts shared spill file names"

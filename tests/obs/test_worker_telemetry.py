@@ -23,6 +23,11 @@ from repro.obs.telemetry import (
 from repro.workloads import WordCount
 
 WORKERS = 2
+#: Tasks per phase: WordCount small is ~104 KB of input, two 64 KiB
+#: map splits; Reduce cuts R = workers x 2 key ranges.
+TASKS = {"map": 2, "reduce": 2 * WORKERS}
+#: One worker track per shard index.
+TRACKS = max(TASKS.values())
 
 
 def _parallel_run(tracer=None):
@@ -30,7 +35,7 @@ def _parallel_run(tracer=None):
     inp = wc.generate("small", seed=0)
     backend = ParallelBackend(workers=WORKERS, min_records=0)
     # Pin the memory store: these tests assert its reduce sharding
-    # shape (one contiguous key range per worker), which the spill
+    # shape (two contiguous key ranges per worker), which the spill
     # store's chunk-streamed reduce legitimately changes — and the
     # suite also runs under REPRO_STORE=spill.
     res = run_job(wc.spec(), inp, mode=MemoryMode.SIO,
@@ -109,7 +114,7 @@ class TestParallelRunTelemetry:
         for phase in phases:
             shards = sorted(p.shard for p in res.worker_profiles
                             if p.phase == phase)
-            assert shards == list(range(WORKERS))
+            assert shards == list(range(TASKS[phase]))
         assert res.straggler is not None
         assert res.straggler.max_skew >= 1.0
 
@@ -135,10 +140,10 @@ class TestParallelRunTelemetry:
                 for e in doc["traceEvents"]
                 if e["ph"] == "M" and e["pid"] == WORKER_PID
                 and e["name"] == "thread_name"}
-        assert meta == {w + 1: f"worker {w}" for w in range(WORKERS)}
+        assert meta == {w + 1: f"worker {w}" for w in range(TRACKS)}
         lanes = {e["tid"] for e in doc["traceEvents"]
                  if e["ph"] == "X" and e["pid"] == WORKER_PID}
-        assert lanes == set(range(1, WORKERS + 1))
+        assert lanes == set(range(1, TRACKS + 1))
         for ev in doc["traceEvents"]:
             if ev["ph"] == "X" and ev["pid"] == WORKER_PID:
                 assert ev["dur"] >= 0
@@ -152,7 +157,7 @@ class TestParallelRunTelemetry:
         workers = [json.loads(line)
                    for line in path.read_text().splitlines()
                    if json.loads(line)["type"] == "worker"]
-        assert {r["worker"] for r in workers} == set(range(WORKERS))
+        assert {r["worker"] for r in workers} == set(range(TRACKS))
         for r in workers:
             assert r["wall_end_ns"] >= r["wall_start_ns"]
 

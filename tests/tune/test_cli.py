@@ -94,10 +94,13 @@ class TestReportTuner:
         from repro.tune.synthetic import synthetic_case
 
         spec, inp = synthetic_case("uniform", seed=0, scale=0.3)
+        # Pin the sim backend: the error column needs a cycles
+        # measurement, and the suite also runs under
+        # REPRO_BACKEND=dist:2.
         run_job(spec, inp, mode="auto", strategy="auto",
-                config=DeviceConfig.small(2))
+                config=DeviceConfig.small(2), backend="sim")
         run_job(spec, inp, mode="SIO", strategy="TR",
-                config=DeviceConfig.small(2))
+                config=DeviceConfig.small(2), backend="sim")
         assert report_main(["--tuner"]) == 0
         out = capsys.readouterr().out
         assert "1 autotuned run(s)" in out
