@@ -135,8 +135,10 @@ def collect_dist_golden() -> dict:
         workers=DIST_WORKLOAD["workers"], min_records=0,
         split_bytes=DIST_WORKLOAD["split_bytes"], fault_plan=plan,
         deterministic=True, min_straggle_s=3600.0)
+    # The memory store is pinned: a spilling shuffle streams the
+    # grouped intermediate, which changes the reduce task split.
     res = run_job(spec, inp, backend=backend, strategy=ReduceStrategy.TR,
-                  config=cfg,
+                  config=cfg, store="memory",
                   threads_per_block=DIST_WORKLOAD["threads_per_block"])
     events = sorted(
         (e.as_dict() for e in backend.last_events

@@ -8,7 +8,7 @@ Examples::
     repro-bench fig7
     repro-bench fig8 --workload II
     repro-bench validate                # oracle conformance matrix
-    repro-bench validate --autotune     # tuner's pick vs the oracle
+    repro-bench validate --mode auto    # tuner's pick vs the oracle
     repro-bench autotune                # tuned-vs-fixed benchmark + gates
     repro-bench profile --workload WC   # per-mode derived metrics
     repro-bench all --size small
@@ -26,10 +26,10 @@ reports simulated per-mode metrics).  See ``docs/PERFORMANCE.md``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from ..framework.modes import ReduceStrategy
+from ..config import add_flags, cli_settings
+from ..framework.modes import ReduceStrategy, resolve_mode_name
 from ..gpu.config import DeviceConfig
 from ..workloads import (
     ALL_WORKLOADS,
@@ -141,41 +141,11 @@ def cmd_fig8(args) -> None:
 
 
 def cmd_validate(args) -> None:
-    from ..errors import FrameworkError
-    from ..store import parse_budget, resolve_budget
-
-    backend = args.backend
-    try:
-        if args.workers is not None:
-            if backend == "dist":
-                from ..backend import DistributedBackend
-
-                backend = DistributedBackend(workers=args.workers)
-            else:
-                from ..backend import ParallelBackend
-
-                backend = ParallelBackend(workers=args.workers)
-        # parse_budget used to escape as a raw traceback on input like
-        # "1.5m"; surface it (and a malformed $REPRO_MEMORY_BUDGET or
-        # a bad $REPRO_BACKEND) as the documented exit-2 usage error.
-        memory_budget = parse_budget(args.memory_budget)
-        resolve_budget(memory_budget)
-        if isinstance(backend, str) or backend is None:
-            from ..backend import get_backend
-
-            if backend is not None or os.environ.get("REPRO_BACKEND"):
-                backend = get_backend(backend)
-    except FrameworkError as exc:
-        print(f"repro-bench: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-
+    # Backend, workers and store come from the flags and the env
+    # (repro.config), in force for every job the command runs.
     rep = validate_all(
         _workloads(args.workload), size=args.size, scale=args.scale,
-        config=_config(args) if args.mps else None,
-        backend=backend,
-        store=args.store,
-        memory_budget=memory_budget,
-        mode=args.mode,
+        config=_config(args) if args.mps else None, mode=args.mode,
     )
     print(rep.render())
     if not rep.passed:
@@ -243,9 +213,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="restrict 'validate' to one memory mode "
                         "(G/GT/SI/SO/SIO, or 'auto' for the cost-model "
                         "tuner); default runs the full matrix")
-    p.add_argument("--autotune", action="store_true",
-                   help="validate with the cost-model tuner picking the "
-                        "mode (shorthand for --mode auto)")
     p.add_argument("--out", default="BENCH_autotune.json", metavar="FILE",
                    help="artefact path for the 'autotune' command "
                         "(empty string to skip writing)")
@@ -257,27 +224,10 @@ def main(argv: list[str] | None = None) -> int:
                    help="multiply problem sizes (1.0 = scaled defaults)")
     p.add_argument("--mps", type=int, default=0,
                    help="simulate this many MPs instead of the full 30")
-    p.add_argument("--backend", default=None,
-                   choices=["sim", "fast", "parallel", "columnar", "dist"],
-                   help="execution backend for 'validate' (timing "
-                        "commands always simulate)")
-    p.add_argument("--columnar", action="store_true",
-                   help="shorthand for --backend columnar (the fast "
-                        "backend's vectorized path) on 'validate'")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for --backend parallel/dist")
-    p.add_argument("--store", default=None, choices=["memory", "spill"],
-                   help="intermediate-store policy for 'validate' with a "
-                        "functional backend (see repro.store); default "
-                        "honours $REPRO_STORE")
-    p.add_argument("--memory-budget", default=None, metavar="SIZE",
-                   help="spill budget (bytes; k/m/g suffixes) for "
-                        "--store spill; default honours "
-                        "$REPRO_MEMORY_BUDGET")
-    p.add_argument("--check", action="store_true",
-                   help="run every simulated job under the repro.check "
-                        "sanitizer (strict: the first finding aborts "
-                        "the command with a CheckError)")
+    # The knob table's flags (repro.config).  --check (strict: the
+    # first finding aborts the command with a CheckError) applies to
+    # every command, the others to 'validate' only.
+    add_flags(p, check="strict")
     p.add_argument("--profile", nargs="?", const="repro-bench.pstats",
                    default=None, metavar="FILE",
                    help="run the command under cProfile: write pstats "
@@ -286,55 +236,25 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--profile-top", type=int, default=20, metavar="N",
                    help="number of hot functions to list with --profile")
     args = p.parse_args(argv)
-    if args.mode is not None:
-        from ..errors import FrameworkError
-        from ..framework.modes import resolve_mode_name
-
-        try:
-            args.mode = resolve_mode_name(args.mode, allow_auto=True)
-        except FrameworkError as exc:
-            print(f"repro-bench: {exc}", file=sys.stderr)
-            return 2
-    if args.autotune:
-        if args.mode not in (None, "auto"):
-            print("repro-bench: --autotune picks the memory mode itself; "
-                  f"it conflicts with --mode {args.mode.value} (drop one)",
-                  file=sys.stderr)
-            return 2
-        args.mode = "auto"
     if args.mode is not None and args.command != "validate":
-        print("repro-bench: --mode/--autotune only apply to 'validate' "
-              "(the 'autotune' command benchmarks the tuner itself)",
+        print("repro-bench: --mode only applies to 'validate' (the "
+              "'autotune' command benchmarks the tuner itself)",
               file=sys.stderr)
         return 2
-    if args.check:
-        os.environ["REPRO_CHECK"] = "1"
-    if args.columnar:
-        if args.backend in ("sim", "parallel", "dist"):
-            print("repro-bench: --columnar needs the fast backend "
-                  "(--backend fast or columnar)", file=sys.stderr)
-            return 2
-        args.backend = "columnar"
-    if args.backend and args.command != "validate":
-        print("repro-bench: --backend only applies to 'validate' — every "
-              "timing command needs the cycle-accurate simulator",
-              file=sys.stderr)
+    if args.command != "validate" and any(
+            getattr(args, name) is not None
+            for name in ("backend", "workers", "store", "memory_budget")):
+        print("repro-bench: --backend/--workers/--store/--memory-budget "
+              "only apply to 'validate' — every timing command needs "
+              "the cycle-accurate simulator", file=sys.stderr)
         return 2
-    if args.workers is not None and args.backend not in ("parallel",
-                                                         "dist"):
-        print("repro-bench: --workers needs --backend parallel or dist",
-              file=sys.stderr)
-        return 2
-    if (args.store or args.memory_budget) and args.command != "validate":
-        print("repro-bench: --store/--memory-budget only apply to "
-              "'validate' (the timing commands always simulate, and the "
-              "sim backend models the device's own intermediate tiers)",
-              file=sys.stderr)
-        return 2
-    if args.memory_budget is not None and args.store != "spill":
-        print("repro-bench: --memory-budget needs --store spill",
-              file=sys.stderr)
-        return 2
+    with cli_settings("repro-bench", args):
+        if args.mode is not None:
+            args.mode = resolve_mode_name(args.mode, allow_auto=True)
+        return _run(args)
+
+
+def _run(args) -> int:
     cmd = {
         "table1": cmd_table1,
         "table2": cmd_table2,

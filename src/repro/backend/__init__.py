@@ -13,8 +13,8 @@ are orthogonal to *how* they execute.  A
   it for correctness runs, large inputs and development loops.
 * ``"parallel"`` — :class:`ParallelBackend`: the fast executor
   sharded across a forked ``multiprocessing`` pool.  ``"parallel:N"``
-  pins the worker count; plain ``"parallel"`` honours
-  ``$REPRO_WORKERS`` and defaults to the CPU count.
+  pins the worker count; plain ``"parallel"`` takes the ``workers``
+  setting (``$REPRO_WORKERS``) and defaults to the CPU count.
 * ``"columnar"`` — :class:`ColumnarBackend`: the fast executor pinned
   to the vectorized columnar path (batched numpy Map/Shuffle/Reduce
   via each workload's ``map_batch``/``reduce_batch`` kernels, scalar
@@ -31,15 +31,13 @@ are orthogonal to *how* they execute.  A
 tasks, output byte-identical to ``"fast"``) over two transports.
 
 Select per call (``run_job(..., backend="fast")``), or process-wide
-with the ``REPRO_BACKEND`` environment variable (read when a driver is
-called with ``backend=None``).
+with the ``backend`` setting (:mod:`repro.config`; ``$REPRO_BACKEND``),
+which a driver called with ``backend=None`` takes.
 """
 
 from __future__ import annotations
 
-import os
-
-from ..errors import FrameworkError
+from ..config import SHARDED_BACKENDS, resolve
 from .base import ExecutionBackend
 from .core import execute_plan, execute_streamed
 from .distributed import DistributedBackend
@@ -57,53 +55,28 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
     DistributedBackend.name: DistributedBackend,
 }
 
-#: Environment variable consulted when ``backend=None``.
-BACKEND_ENV = "REPRO_BACKEND"
-
-
 def get_backend(backend: str | ExecutionBackend | None = None
                 ) -> ExecutionBackend:
     """Resolve a backend argument to a live instance.
 
-    ``None`` consults ``$REPRO_BACKEND`` (default ``"sim"``); strings
-    are looked up in :data:`BACKENDS`; instances pass through.
-    ``"parallel:N"`` / ``"dist:N"`` pin the worker count of the
-    parallel / distributed backend.
+    Instances pass through; ``None`` takes the ``backend`` setting
+    (:mod:`repro.config`: ``$REPRO_BACKEND``, default ``"sim"``);
+    strings are looked up in :data:`BACKENDS`.  ``"parallel:N"`` /
+    ``"dist:N"`` pin the worker count of the parallel / distributed
+    backend, which otherwise takes the ``workers`` setting.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "sim"
-    if isinstance(backend, str) and ":" in backend:
-        base, _, raw = backend.partition(":")
-        if base in ("parallel", "dist"):
-            try:
-                n = int(raw)
-            except ValueError:
-                raise FrameworkError(
-                    f"bad worker count in backend {backend!r}; expected "
-                    f"'{base}:<int>'"
-                ) from None
-            if n < 1:
-                # Used to be silently clamped to 1 by max(); surface
-                # the mistake instead — ":0" is a typo, not a request.
-                raise FrameworkError(
-                    f"worker count must be >= 1 in backend {backend!r}"
-                )
-            return (ParallelBackend(workers=n) if base == "parallel"
-                    else DistributedBackend(workers=n))
-    try:
-        return BACKENDS[backend]()
-    except KeyError:
-        known = ", ".join(sorted(BACKENDS))
-        raise FrameworkError(
-            f"unknown backend {backend!r}; known backends: {known}"
-        ) from None
+    settings = resolve({"backend": backend}, names=("backend", "workers"))
+    base, _, count = settings["backend"].partition(":")
+    if base in SHARDED_BACKENDS:
+        return BACKENDS[base](
+            workers=int(count) if count else settings["workers"])
+    return BACKENDS[base]()
 
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV",
     "BatchPolicy",
     "ColumnarBackend",
     "DistributedBackend",

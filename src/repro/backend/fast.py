@@ -28,7 +28,6 @@ kernel time.  Use the sim backend for any figure.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import reduce as _fold
 
@@ -45,46 +44,9 @@ from ..store import (
     MemoryStore,
     SpillStore,
     open_store,
-    resolve_store_name,
 )
 from .base import ExecutionBackend
 from .plan import JobPlan
-
-#: Environment variable turning the columnar path on process-wide
-#: (``1``/``true``/``yes``/``on``) when neither the plan nor the
-#: backend instance decides.
-COLUMNAR_ENV = "REPRO_COLUMNAR"
-
-#: Environment variable overriding the records-per-batch width.
-COLUMNAR_BATCH_ENV = "REPRO_COLUMNAR_BATCH"
-
-#: Default columnar Map batch width, in records.
-DEFAULT_BATCH_RECORDS = 8192
-
-
-def columnar_env_enabled() -> bool:
-    """Does ``$REPRO_COLUMNAR`` request the columnar path?"""
-    return os.environ.get(COLUMNAR_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
-def _batch_records() -> int:
-    raw = os.environ.get(COLUMNAR_BATCH_ENV)
-    if not raw:
-        return DEFAULT_BATCH_RECORDS
-    try:
-        n = int(raw)
-    except ValueError:
-        raise FrameworkError(
-            f"${COLUMNAR_BATCH_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise FrameworkError(
-            f"${COLUMNAR_BATCH_ENV} must be >= 1, got {raw!r}"
-        )
-    return n
-
 
 @dataclass
 class FastContext:
@@ -95,11 +57,9 @@ class FastContext:
     plan: JobPlan
     config: DeviceConfig
     stores: list[IntermediateStore] = field(default_factory=list)
-    #: Columnar execution resolved for this job (plan -> backend ->
-    #: ``$REPRO_COLUMNAR``); see :meth:`FastBackend.map_phase`.
+    #: Columnar execution resolved for this job (backend instance,
+    #: then the ``columnar`` setting); see :meth:`FastBackend.map_phase`.
     columnar: bool = False
-    #: Records per columnar Map batch.
-    batch_records: int = DEFAULT_BATCH_RECORDS
 
 
 class StoreGroups:
@@ -136,23 +96,16 @@ class FastBackend(ExecutionBackend):
     ``reduce_batch`` run whole batches through numpy, the shuffle is a
     stable argsort + group-boundary scan instead of the dict group-by,
     and workloads without batch kernels fall back to the scalar API
-    per batch.  ``columnar=None`` (the default) consults the job plan,
-    then ``$REPRO_COLUMNAR``.  Output stays byte-identical for integer
-    workloads and bit-equal in practice for the float ones (batch
-    kernels preserve the scalar operation order).
+    per batch.  ``columnar=None`` (the default) takes the job's
+    ``columnar`` setting (``$REPRO_COLUMNAR``).  Output stays
+    byte-identical for integer workloads and bit-equal in practice for
+    the float ones (batch kernels preserve the scalar operation order).
     """
 
     name = "fast"
 
     def __init__(self, columnar: bool | None = None):
         self.columnar = columnar
-
-    def _columnar_enabled(self, plan: JobPlan) -> bool:
-        if plan.columnar is not None:
-            return bool(plan.columnar)
-        if self.columnar is not None:
-            return bool(self.columnar)
-        return columnar_env_enabled()
 
     def open(self, plan: JobPlan) -> FastContext:
         cfg = plan.config
@@ -161,9 +114,17 @@ class FastBackend(ExecutionBackend):
         return FastContext(
             plan=plan,
             config=cfg or DeviceConfig.gtx280(),
-            columnar=self._columnar_enabled(plan),
-            batch_records=_batch_records(),
+            columnar=(plan.settings["columnar"] if self.columnar is None
+                      else bool(self.columnar)),
         )
+
+    def _open_store(self, ctx) -> IntermediateStore:
+        """A live store for one shuffle hop, released by :meth:`close`."""
+        settings = ctx.plan.settings
+        store = open_store(settings["store"], settings["memory_budget"],
+                           root=settings["spill_dir"])
+        ctx.stores.append(store)
+        return store
 
     def close(self, ctx) -> None:
         stores, ctx.stores = ctx.stores, []
@@ -241,7 +202,7 @@ class FastBackend(ExecutionBackend):
         plan = ctx.plan
         spec = plan.spec
         n = len(d_in)
-        width = ctx.batch_records
+        width = plan.settings["columnar_batch"]
         map_batch = spec.map_batch
         map_record = spec.map_record
         const_bytes = spec.const_bytes
@@ -291,7 +252,6 @@ class FastBackend(ExecutionBackend):
         return out, stats
 
     def shuffle_phase(self, ctx, inter, tr, label):
-        plan = ctx.plan
         if isinstance(inter, IntermediateStore):
             # Streamed sink: the batches already emitted into the store.
             store = inter
@@ -303,13 +263,11 @@ class FastBackend(ExecutionBackend):
                 # it into columns so the vectorized group-by applies.
                 inter = ColumnBatch.from_kvs(inter)
             with tr.span("shuffle_exec", records=len(inter)) as sp:
-                store = open_store(plan.store, plan.memory_budget)
-                ctx.stores.append(store)
+                store = self._open_store(ctx)
                 store.emit_columns(inter)
                 return self._grouped_from(ctx, store, sp)
         with tr.span("shuffle_exec", records=len(inter)) as sp:
-            store = open_store(plan.store, plan.memory_budget)
-            ctx.stores.append(store)
+            store = self._open_store(ctx)
             store.emit_many(inter)
             return self._grouped_from(ctx, store, sp)
 
@@ -414,17 +372,15 @@ class FastBackend(ExecutionBackend):
     # -- streamed sink ---------------------------------------------------
 
     def stream_sink(self, ctx):
-        """Spill-aware streamed accumulator: when the plan (or env)
-        selects the spill store and the job has a Reduce tail, batch
+        """Spill-aware streamed accumulator: when the job's ``store``
+        setting is the spill store and the job has a Reduce tail, batch
         Map output goes straight into a budgeted store instead of an
         unbounded host record set.  Strategy-``None`` jobs keep the
         record set — their sink *is* the job output."""
         plan = ctx.plan
-        if plan.strategy is not None and \
-                resolve_store_name(plan.store) == SpillStore.name:
-            store = open_store("spill", plan.memory_budget)
-            ctx.stores.append(store)
-            return store
+        if (plan.strategy is not None
+                and plan.settings["store"] == SpillStore.name):
+            return self._open_store(ctx)
         return KeyValueSet()
 
     def absorb_batch(self, ctx, sink, handle) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..config import Settings, resolve
 from ..errors import FrameworkError
 from ..framework.api import MapReduceSpec
 from ..framework.modes import AUTO, MemoryMode, ReduceStrategy, \
@@ -27,6 +28,18 @@ from ..gpu.config import DeviceConfig
 #: vs. the Mars two-pass (count / scan / write) baseline.
 ENGINE_SHARED = "shared"
 ENGINE_MARS = "mars"
+
+
+def _tuner_picks(decision) -> dict:
+    """The knobs a wall-objective tuner decision fills in (the cycles
+    objective never moves a job off its backend or store)."""
+    if decision is None or decision.objective != "wall":
+        return {}
+    backend = decision.backend or "fast"
+    if decision.workers:
+        backend += f":{decision.workers}"
+    return dict(backend=backend, store=decision.store,
+                memory_budget=decision.memory_budget)
 
 
 @dataclass(frozen=True)
@@ -67,31 +80,23 @@ class JobPlan:
     #: always did.  ``run_job`` passes its ``shuffle_method`` through.
     shuffle_method: str | None = None
     batching: BatchPolicy | None = None
-    #: Sanitizer request: None (consult ``$REPRO_CHECK``), bool, a
-    #: string like the env var, or a :class:`repro.check.CheckConfig`.
-    #: Resolved by the backend at ``open``; the fast backend has no
-    #: simulated device to check and ignores it.
+    #: The driver's explicit settings — backend name or instance,
+    #: sanitizer request (bool, setting string or
+    #: :class:`repro.check.CheckConfig`), intermediate store and spill
+    #: budget.  ``None`` leaves each open for :mod:`repro.config`.  Only
+    #: the sim backend checks; only the functional backends use a store.
+    backend: object = None
     check: object = None
-    #: Intermediate-store policy for the functional backends:
-    #: ``"memory"`` (unbounded dict, the default behaviour),
-    #: ``"spill"`` (budgeted out-of-core shuffle) or ``None`` to
-    #: consult ``$REPRO_STORE``.  The sim backend models the device's
-    #: own intermediate tiers and ignores this.
     store: str | None = None
-    #: Approximate in-memory byte budget for ``store="spill"``
-    #: (``None`` consults ``$REPRO_MEMORY_BUDGET``, then the spill
-    #: default).  Ignored by the memory store, which is unbounded.
     memory_budget: int | None = None
-    #: Columnar execution request for the fast backend: ``True``/
-    #: ``False`` pin the path, ``None`` defers to the backend instance
-    #: and then ``$REPRO_COLUMNAR``.  The sim and parallel backends
-    #: ignore this (the parallel backend's inner fast executor is
-    #: pinned scalar so worker output never depends on the env).
-    columnar: bool | None = None
     #: The :class:`repro.tune.TunerDecision` that produced this plan,
     #: set by the backends' ``resolve_auto`` / ``run_job(tune=True)``.
     #: ``None`` for untuned plans — the ledger records them as such.
     tuned: object | None = None
+    #: Every knob resolved from the fields above, the tuner's picks and
+    #: the environment (:class:`repro.config.Settings`), filled by
+    #: :meth:`normalised`.  Backends read settings only from here.
+    settings: Settings | None = None
 
     # ------------------------------------------------------------------
     # Normalisation
@@ -106,20 +111,17 @@ class JobPlan:
         :mod:`repro.tune`).  ``strategy="auto"`` and an unset
         ``threads_per_block`` are only legal alongside it: they are the
         knobs the tuner fills in.
+
+        It also resolves every :mod:`repro.config` knob, once per job:
+        a bad setting from any source raises here, before a backend
+        opens or a worker starts.
         """
         if self.engine not in (ENGINE_SHARED, ENGINE_MARS):
             raise FrameworkError(f"unknown engine {self.engine!r}")
-        store = self.store
-        if store is not None:
-            # Validate eagerly (same friendly error surface as modes);
-            # None is left open for the backend's env consultation.
-            from ..store import resolve_store_name
-
-            store = resolve_store_name(store)
-        if self.memory_budget is not None and self.memory_budget < 1:
-            raise FrameworkError(
-                f"memory_budget must be positive, got {self.memory_budget}"
-            )
+        settings = self.settings or resolve(
+            dict(backend=self.backend, check=self.check, store=self.store,
+                 memory_budget=self.memory_budget),
+            tuner=_tuner_picks(self.tuned))
         mode = resolve_mode_name(self.mode, allow_auto=True)
         strategy = resolve_strategy_name(self.strategy, allow_auto=True)
         if strategy == AUTO and mode != AUTO:
@@ -139,7 +141,7 @@ class JobPlan:
             reduce_mode = resolve_mode_name(reduce_mode)
         return replace(self, mode=mode, reduce_mode=reduce_mode,
                        strategy=strategy, threads_per_block=tpb,
-                       store=store)
+                       settings=settings)
 
     def check_reduce(self) -> None:
         """Reject a Reduce no executor may run — the sim's reduce
@@ -209,14 +211,11 @@ class JobPlan:
             attrs["overlap"] = self.batching.overlap
         elif not self.is_mars and self.shuffle_method is not None:
             attrs["shuffle"] = self.shuffle_method
-        if self.store is not None:
-            # Only explicit policies land in span attrs: the default
-            # (None -> env -> "memory") keeps traces byte-identical.
-            attrs["store"] = self.store
-        if self.columnar is not None:
-            # Same rule as ``store``: only explicit requests appear,
-            # keeping default traces byte-identical.
-            attrs["columnar"] = self.columnar
+        store = self.settings.requested("store")
+        if store is not None:
+            # Only requested policies land in span attrs: the default
+            # and the env keep traces byte-identical.
+            attrs["store"] = store
         if self.tuned is not None:
             attrs["tuned"] = True
             attrs["tuner_choice"] = self.tuned.choice

@@ -62,15 +62,9 @@ from ..store import (
     StoreStats,
     merge_runs,
     record_cost,
-    resolve_budget,
-    resolve_spill_root,
-    resolve_store_name,
 )
 from .fast import FastBackend, FastContext, StoreGroups
 from .plan import JobPlan
-
-#: Environment variable giving the default worker count.
-WORKERS_ENV = "REPRO_WORKERS"
 
 #: Below this many records a phase runs in-process: starting workers
 #: and round-tripping splits costs more than the work.
@@ -92,24 +86,6 @@ STREAM_REDUCE_BATCH = 1024
 #: Transport counters reported per phase when they moved.
 _RECOVERY_COUNTERS = ("retries", "speculated", "duplicates",
                       "worker_deaths", "respawns")
-
-
-def default_workers() -> int:
-    """``$REPRO_WORKERS`` if set, else the machine's CPU count."""
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise FrameworkError(
-                f"${WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-        if n < 1:
-            raise FrameworkError(
-                f"${WORKERS_ENV} must be >= 1, got {env!r}"
-            )
-        return n
-    return os.cpu_count() or 1
 
 
 def resolve_split_bytes(split_bytes: int | None = None) -> int:
@@ -185,7 +161,8 @@ class ShardedBackend(FastBackend):
         super().__init__(columnar=False)
         if workers is not None and workers < 1:
             raise FrameworkError("workers must be >= 1")
-        self.workers = workers if workers is not None else default_workers()
+        #: ``None`` means one worker per CPU.
+        self.workers = workers if workers is not None else os.cpu_count() or 1
         self.min_records = (DEFAULT_MIN_RECORDS if min_records is None
                             else max(0, min_records))
         self.split_bytes = resolve_split_bytes(split_bytes)
@@ -262,16 +239,14 @@ class ShardedBackend(FastBackend):
         download the Map output directly, and streamed batches flow
         into the coordinator's sink store instead."""
         plan = ctx.plan
+        settings = plan.settings
         if (batch is not None or plan.strategy is None
-                or resolve_store_name(plan.store) != SpillStore.name):
+                or settings["store"] != SpillStore.name):
             return None
-        # resolve_spill_root() validates $REPRO_SPILL_DIR (exists,
-        # writable) so a bad setting fails here with a clear error
-        # instead of surfacing as an OSError inside a worker.
         run_dir = tempfile.mkdtemp(prefix="repro-spill-",
-                                   dir=resolve_spill_root())
+                                   dir=settings["spill_dir"])
         ctx.spill_dirs.append(run_dir)
-        budget = resolve_budget(plan.memory_budget) or DEFAULT_BUDGET
+        budget = settings["memory_budget"] or DEFAULT_BUDGET
         return [run_dir, max(1, budget // self.workers)]
 
     # -- phases ---------------------------------------------------------

@@ -55,7 +55,7 @@ class SimBackend(ExecutionBackend):
 
         dev = plan.device or Device(plan.config or DeviceConfig.gtx280())
         sanitizer = None
-        cfg = resolve_check(plan.check)
+        cfg = resolve_check(plan.settings["check"])
         if cfg is not None:
             sanitizer = Sanitizer(cfg)
             dev.checker = sanitizer

@@ -21,12 +21,11 @@ non-empty report raises :class:`~repro.errors.CheckError`.  See
 """
 
 from ..errors import CheckError
-from .config import CHECK_ENV, CheckConfig, resolve_check
+from .config import CheckConfig, resolve_check
 from .report import CheckReport, Finding
 from .sanitizer import LaunchChecker, Sanitizer
 
 __all__ = [
-    "CHECK_ENV",
     "CheckConfig",
     "CheckError",
     "CheckReport",

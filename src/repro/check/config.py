@@ -1,25 +1,17 @@
-"""Sanitizer configuration and the ``$REPRO_CHECK`` environment knob.
+"""Sanitizer configuration.
 
 The sanitizer is opt-in everywhere: ``run_job(..., check=True)`` (or
 any driver's ``check=`` argument), ``--check`` on the CLIs, or
-``REPRO_CHECK=1`` in the environment.  ``resolve_check`` maps all of
-those spellings onto either ``None`` (off) or a frozen
-:class:`CheckConfig`.
+``REPRO_CHECK=1`` in the environment — the ``check`` setting of
+:mod:`repro.config`.  ``resolve_check`` maps a setting onto either
+``None`` (off) or a frozen :class:`CheckConfig`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from ..errors import FrameworkError
-
-#: Environment variable consulted when a driver's ``check`` is None.
-CHECK_ENV = "REPRO_CHECK"
-
-_OFF = {"", "0", "off", "false", "no", "none"}
-_STRICT = {"1", "on", "true", "yes", "strict"}
-_REPORT = {"report", "warn"}
+from ..config import resolve
 
 
 @dataclass(frozen=True)
@@ -42,37 +34,16 @@ class CheckConfig:
     max_findings: int = 25
 
 
-def _from_string(value: str):
-    v = value.strip().lower()
-    if v in _OFF:
-        return None
-    if v in _STRICT:
-        return CheckConfig()
-    if v in _REPORT:
-        return CheckConfig(strict=False)
-    raise FrameworkError(
-        f"unrecognised check setting {value!r}; use one of "
-        "0/off, 1/on/strict, report"
-    )
-
-
 def resolve_check(check=None):
-    """Normalise a driver's ``check`` argument to CheckConfig | None.
+    """Normalise a ``check`` setting to CheckConfig | None.
 
-    ``None`` consults ``$REPRO_CHECK``; booleans toggle the default
-    config; strings are parsed like the environment variable; a
-    :class:`CheckConfig` passes through unchanged.
+    ``None`` is off; booleans toggle the default config; strings are
+    parsed like ``$REPRO_CHECK``; a :class:`CheckConfig` passes through
+    unchanged.
     """
-    if check is None:
-        return _from_string(os.environ.get(CHECK_ENV, ""))
-    if isinstance(check, CheckConfig):
+    if check is None or isinstance(check, CheckConfig):
         return check
-    if check is True:
-        return CheckConfig()
-    if check is False:
-        return None
-    if isinstance(check, str):
-        return _from_string(check)
-    raise FrameworkError(
-        f"check must be None, bool, str or CheckConfig; got {check!r}"
-    )
+    mode = resolve({"check": check}, names=("check",))["check"]
+    if isinstance(mode, CheckConfig):
+        return mode
+    return None if mode == "off" else CheckConfig(strict=mode == "strict")

@@ -45,13 +45,12 @@ report like ``case 137`` reproduces with ``--only 137`` (plus
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from ..backend.fast import COLUMNAR_BATCH_ENV
+from ..config import override
 from ..cpu_ref.reference import normalised, reference_job
 from ..framework.api import MapReduceSpec
 from ..framework.job import run_job
@@ -254,16 +253,9 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
     # cases span several batches.  These kernels declare no batch
     # implementations, so this drives the array shuffle plus the
     # per-batch scalar fallback; output must be byte-identical.
-    prev = os.environ.get(COLUMNAR_BATCH_ENV)
-    os.environ[COLUMNAR_BATCH_ENV] = "7"
-    try:
+    with override(columnar_batch=7):
         col = run_job(spec, inp, backend=FastBackend(columnar=True),
                       **common)
-    finally:
-        if prev is None:
-            os.environ.pop(COLUMNAR_BATCH_ENV, None)
-        else:
-            os.environ[COLUMNAR_BATCH_ENV] = prev
     if col.output != fast.output:
         return (f"columnar output diverges from fast "
                 f"({len(col.output)} vs {len(fast.output)} records)")

@@ -77,7 +77,7 @@ class MapReduceSpec:
     finalize: FinalizeFn | None = None
 
     #: Optional vectorized twins of ``map_record``/``reduce_record``
-    #: for the columnar execution path (``--columnar`` /
+    #: for the columnar execution path (``backend="columnar"`` /
     #: ``$REPRO_COLUMNAR``).  Both are pure accelerations: they must
     #: reproduce the scalar functions' emissions byte for byte (float
     #: payloads: same operation order, so same rounding), and either

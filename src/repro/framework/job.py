@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..config import resolve
 from ..errors import FrameworkError
 from ..gpu.config import DeviceConfig
 from ..gpu.kernel import Device
@@ -122,9 +123,10 @@ def run_job(
     ``backend`` selects the execution substrate: ``"sim"`` (default,
     cycle-accurate), ``"fast"`` (functional, no kernel timings), an
     :class:`~repro.backend.base.ExecutionBackend` instance, or
-    ``None`` to consult ``$REPRO_BACKEND``.
+    ``None`` for the ``backend`` setting (``$REPRO_BACKEND``; every
+    ``None`` here defers to :mod:`repro.config` the same way).
     ``check`` enables the sanitizer (:mod:`repro.check`): ``True``,
-    ``"strict"``, ``"report"`` or a ``CheckConfig``; ``None`` consults
+    ``"strict"``, ``"report"`` or a ``CheckConfig``; ``None`` takes
     ``$REPRO_CHECK``.  Empty inputs are legal and produce an empty
     output (degenerate cases are exactly what the differential fuzzer
     exercises).
@@ -160,7 +162,8 @@ def run_job(
             f"mode={getattr(mode, 'value', mode)!r} or use mode='auto'"
         )
     tuned = None
-    if tune or (tune is None and mode is None and _env_autotune()):
+    if tune or (tune is None and mode is None
+                and resolve(names=("autotune",))["autotune"]):
         from ..tune import decide_execution
 
         cfg = config or (device.config if device is not None else None)
@@ -170,15 +173,6 @@ def run_job(
             strategy = tuned.strategy
         if threads_per_block is None:
             threads_per_block = tuned.threads_per_block
-        if backend is None:
-            name = tuned.backend or "fast"
-            if tuned.workers:
-                name += f":{tuned.workers}"
-            backend = name
-        if store is None:
-            store = tuned.store
-        if memory_budget is None:
-            memory_budget = tuned.memory_budget
     elif mode is None:
         mode = MemoryMode.SIO
 
@@ -193,15 +187,11 @@ def run_job(
         yield_sync=yield_sync,
         io_ratio=io_ratio,
         shuffle_method=shuffle_method,
+        backend=backend,
         check=check,
         store=store,
         memory_budget=memory_budget,
         tuned=tuned,
     ).normalised()
-    return execute_plan(plan, inp, get_backend(backend), tracer)
-
-
-def _env_autotune() -> bool:
-    from ..tune.decide import autotune_enabled
-
-    return autotune_enabled()
+    return execute_plan(plan, inp, get_backend(plan.settings["backend"]),
+                        tracer)

@@ -139,8 +139,10 @@ def run_streamed_job(
         threads_per_block=threads_per_block,
         yield_sync=yield_sync,
         batching=BatchPolicy(n_batches=n_batches, overlap=overlap),
+        backend=backend,
         check=check,
         store=store,
         memory_budget=memory_budget,
     ).normalised()
-    return execute_streamed(plan, inp, get_backend(backend), tracer)
+    return execute_streamed(plan, inp,
+                            get_backend(plan.settings["backend"]), tracer)

@@ -490,8 +490,10 @@ def run_mars_job(
         config=config,
         device=device,
         threads_per_block=threads_per_block,
+        backend=backend,
         check=check,
         store=store,
         memory_budget=memory_budget,
     ).normalised()
-    return execute_plan(plan, inp, get_backend(backend), tracer)
+    return execute_plan(plan, inp, get_backend(plan.settings["backend"]),
+                        tracer)

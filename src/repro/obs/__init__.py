@@ -35,7 +35,6 @@ from .exporters import (
 from .ledger import (
     append_record,
     build_record,
-    ledger_enabled,
     ledger_path,
     read_ledger,
     record_run,
@@ -78,7 +77,6 @@ __all__ = [
     "diff_metrics",
     "flatten_metrics",
     "job_metrics_registry",
-    "ledger_enabled",
     "ledger_path",
     "read_ledger",
     "record_run",

@@ -26,14 +26,13 @@ import json
 import os
 import sys
 
+from ..config import SHARDED_BACKENDS, add_flags, cli_settings
 from ..errors import FrameworkError
 from ..framework.job import run_job
 from ..framework.modes import MemoryMode, ReduceStrategy, \
     resolve_mode_name, resolve_strategy_name
 from ..gpu.config import DeviceConfig
-from ..store import parse_budget, resolve_budget
 from ..workloads import ALL_WORKLOADS, EXTRA_WORKLOADS, Workload
-from ..tune.decide import autotune_enabled as _env_autotune
 from .exporters import write_check_json, write_chrome_trace, write_jsonl
 from .metrics import diff_metrics, job_metrics_registry
 from .report import render_job_profile, render_span_tree
@@ -90,19 +89,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("workload",
                    help="workload code or name (WC, wordcount, kmeans, ...)")
     p.add_argument("--mode", default=None,
-                   help="memory mode (G, GT, SI, SO, SIO; default SIO) "
-                        "or 'auto' to let the cost-model tuner pick")
+                   help="memory mode (G, GT, SI, SO, SIO; default SIO, "
+                        "or auto under $REPRO_AUTOTUNE) or 'auto' to let "
+                        "the cost-model tuner pick")
     p.add_argument("--strategy", default="auto",
                    help="reduce strategy (TR, BR, none); 'auto' = TR "
                         "when the workload has a Reduce phase (default) "
-                        "— or, under --mode auto/--autotune, whichever "
-                        "the tuner predicts faster")
-    p.add_argument("--autotune", action="store_true",
-                   help="let the cost-model tuner (repro.tune) pick the "
-                        "memory mode, strategy and block size from "
-                        "input statistics (same as --mode auto; also "
-                        "enabled by $REPRO_AUTOTUNE=1 when no --mode is "
-                        "given)")
+                        "— or, under --mode auto, whichever the tuner "
+                        "predicts faster")
     p.add_argument("--reduce-mode", default=None,
                    choices=[m.value for m in MemoryMode],
                    help="memory mode for the Reduce phase (default: same as Map)")
@@ -119,38 +113,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--shuffle", default="sort",
                    choices=["sort", "hash", "bitonic"])
     p.add_argument("--mars", action="store_true",
-                   help="run the Mars two-pass baseline instead")
-    p.add_argument("--backend", default=None,
-                   choices=["sim", "fast", "parallel", "columnar", "dist"],
-                   help="execution backend: 'sim' (cycle-accurate, "
-                        "default), 'fast' (functional only — kernel "
-                        "cycles read as zero), 'parallel' (fast, "
-                        "sharded over a process pool), 'columnar' "
-                        "(fast with vectorized batch kernels) or 'dist' "
-                        "(fast over socket-connected workers with fault "
-                        "tolerance); default honours $REPRO_BACKEND")
-    p.add_argument("--columnar", action="store_true",
-                   help="run the fast backend's vectorized columnar "
-                        "path (same as --backend columnar or "
-                        "$REPRO_COLUMNAR=1; incompatible with the sim, "
-                        "parallel and dist backends)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for --backend parallel/dist "
-                        "(default: $REPRO_WORKERS or the CPU count)")
-    p.add_argument("--store", default=None, choices=["memory", "spill"],
-                   help="intermediate-store policy for the fast/parallel"
-                        "/dist backends: 'memory' (unbounded dict, "
-                        "default) or 'spill' (budgeted out-of-core "
-                        "shuffle); default honours $REPRO_STORE; ignored "
-                        "by the sim backend")
-    p.add_argument("--memory-budget", default=None, metavar="SIZE",
-                   help="spill budget in bytes, k/m/g suffixes accepted "
-                        "(e.g. 64k, 512M); needs --store spill; default "
-                        "honours $REPRO_MEMORY_BUDGET")
-    p.add_argument("--check", action="store_true",
-                   help="run under the repro.check sanitizer (report "
-                        "mode) and write check.json; exits 1 on any "
-                        "finding (sim backend only)")
+                   help="run the Mars two-pass baseline instead (takes "
+                        "no --mode)")
+    # The knob table's flags (repro.config).  --check runs the
+    # sanitizer in report mode, writes check.json and exits 1 on any
+    # finding (sim backend only).
+    add_flags(p, check="report")
     p.add_argument("--blocks", default="0",
                    help="blocks to trace at warp level: comma list, "
                         "'all', or 'none' (default: block 0)")
@@ -165,92 +133,43 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
 
     workload = resolve_workload(args.workload)
+    with cli_settings("repro-trace", args) as settings:
+        return _run(args, workload, settings)
+
+
+def _run(args, workload: Workload, settings) -> int:
     # Mode/strategy names validate in exactly one place
-    # (repro.framework.modes); unknown names exit 2 with the friendly
-    # message instead of an argparse choices dump or a traceback.
-    try:
-        mode = resolve_mode_name(args.mode, allow_auto=True) \
-            if args.mode is not None else None
-        strategy = resolve_strategy_name(args.strategy, allow_auto=True)
-    except FrameworkError as exc:
-        print(f"repro-trace: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    if args.autotune:
-        if args.mars:
-            print("repro-trace: --autotune tunes the shared-memory "
-                  "framework's knobs; it conflicts with --mars",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        if mode not in (None, "auto"):
-            print(f"repro-trace: --autotune picks the memory mode "
-                  f"itself; it conflicts with --mode "
-                  f"{getattr(mode, 'value', mode)} (drop one)",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        mode = "auto"
+    # (repro.framework.modes); a FrameworkError exits 2 with its
+    # message (cli_settings).
+    mode = resolve_mode_name(args.mode, allow_auto=True) \
+        if args.mode is not None else None
+    strategy = resolve_strategy_name(args.strategy, allow_auto=True)
+    if args.mars and mode is not None:
+        raise FrameworkError("--mars runs the Mars baseline's own "
+                             "two-pass scheme; it takes no --mode")
     if mode is None:
-        mode = "auto" if _env_autotune() and not args.mars else MemoryMode.SIO
-    if strategy == "auto" and mode != "auto":
+        mode = "auto" if settings["autotune"] and not args.mars \
+            else MemoryMode.SIO
+    if strategy == "auto" and (mode != "auto" or args.mars):
         # The historical CLI meaning of 'auto': TR when the workload
         # reduces.  Under mode='auto' it stays 'auto' — the tuner's
         # TR-vs-BR choice, which is output-identical either way.
-        strategy = ReduceStrategy.TR if workload.has_reduce else None
-    if strategy == "auto" and args.mars:
         strategy = ReduceStrategy.TR if workload.has_reduce else None
     config = DeviceConfig.small(args.mps) if args.mps else DeviceConfig.gtx280()
     inp = workload.generate(args.size, seed=args.seed, scale=args.scale)
     spec = workload.spec_for_size(args.size, seed=args.seed, scale=args.scale)
 
-    backend = args.backend
-    backend_name = (args.backend or os.environ.get("REPRO_BACKEND")
-                    or "sim").strip().lower()
-    if args.columnar:
-        if args.backend in ("sim", "parallel", "dist"):
-            print("repro-trace: --columnar needs the fast backend "
-                  "(--backend fast or columnar)", file=sys.stderr)
-            raise SystemExit(2)
-        backend = backend_name = "columnar"
-    if args.workers is not None and backend not in ("parallel", "dist"):
-        print("repro-trace: --workers needs --backend parallel or dist",
-              file=sys.stderr)
-        raise SystemExit(2)
-    if args.memory_budget is not None and args.store != "spill":
-        print("repro-trace: --memory-budget needs --store spill",
-              file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        memory_budget = parse_budget(args.memory_budget)
-        # Validate $REPRO_MEMORY_BUDGET now too: a malformed env var
-        # should be a usage error here, not a traceback mid-shuffle.
-        resolve_budget(memory_budget)
-    except FrameworkError as exc:
-        print(f"repro-trace: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    try:
-        if backend == "parallel":
-            from ..backend import ParallelBackend
+    backend = None  # the job takes the backend setting
+    base, _, count = settings["backend"].partition(":")
+    if base in SHARDED_BACKENDS and settings.source("backend") == "flag":
+        from ..backend import BACKENDS
 
-            # min_records=0: a traced parallel run should actually
-            # shard — the in-process fallback would yield no worker
-            # telemetry.
-            backend = ParallelBackend(workers=args.workers, min_records=0)
-        elif backend == "dist":
-            from ..backend import DistributedBackend
-
-            # Same reasoning: a traced dist run should actually cross
-            # the socket boundary, whatever the input size.
-            backend = DistributedBackend(workers=args.workers,
-                                         min_records=0)
-        else:
-            # Resolve eagerly so a bad $REPRO_BACKEND (parallel:0, a
-            # typo'd name) or $REPRO_WORKERS exits 2 with the message,
-            # not a traceback from inside the job.
-            from ..backend import get_backend
-
-            backend = get_backend(backend)
-    except FrameworkError as exc:
-        print(f"repro-trace: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        # A --backend parallel/dist flag asks for a traced sharded run:
+        # min_records=0 makes it cross the process boundary, where the
+        # in-process fallback would yield no worker telemetry.
+        backend = BACKENDS[base](
+            workers=int(count) if count else settings["workers"],
+            min_records=0)
 
     blocks = _parse_blocks(args.blocks)
     # The fast and parallel backends report zero kernel cycles, so the
@@ -259,18 +178,14 @@ def main(argv: list[str] | None = None) -> int:
     # single clock, keeping golden traces byte-identical).
     tracer = Tracer(kernel_detail=blocks is None or bool(blocks),
                     trace_blocks=blocks,
-                    wall_clock=backend_name != "sim")
-    # Report mode: collect every finding rather than raising on the
-    # first one — the CLI's exit status carries the verdict.
-    check = "report" if args.check else None
+                    wall_clock=base != "sim")
     if args.mars:
         from ..mars.framework import run_mars_job
 
         result = run_mars_job(
             spec, inp, strategy=strategy, config=config,
             threads_per_block=args.threads_per_block or 128, tracer=tracer,
-            backend=backend, check=check, store=args.store,
-            memory_budget=memory_budget,
+            backend=backend,
         )
     else:
         result = run_job(
@@ -278,8 +193,7 @@ def main(argv: list[str] | None = None) -> int:
             strategy=strategy, config=config,
             threads_per_block=args.threads_per_block,
             shuffle_method=args.shuffle, tracer=tracer,
-            backend=backend, check=check, store=args.store,
-            memory_budget=memory_budget, tune=False,
+            backend=backend, tune=False,
         )
 
     os.makedirs(args.out, exist_ok=True)
@@ -291,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     registry = job_metrics_registry(result, config)
     header = {
         "workload": workload.code,
-        "backend": backend_name,
-        # Under --autotune the *resolved* mode/strategy land here, so
+        "backend": settings["backend"],
+        # Under --mode auto the *resolved* mode/strategy land here, so
         # two metrics files only diff clean when the tuner agreed.
         "mode": "Mars" if args.mars
         else getattr(result.mode, "value", str(result.mode)),

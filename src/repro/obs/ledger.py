@@ -23,7 +23,8 @@ Design constraints:
 * **Opt-out via env.**  ``REPRO_LEDGER=0`` (or ``off``/``false``/
   ``no``) disables recording; ``REPRO_LEDGER_DIR`` points the ledger
   at a different directory (tests and benchmarks use this to keep
-  their runs out of the working tree's ledger).
+  their runs out of the working tree's ledger).  Both are
+  :mod:`repro.config` settings, resolved once per job.
 """
 
 from __future__ import annotations
@@ -35,37 +36,32 @@ import time
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Iterable
 
+from ..config import KNOBS, resolve
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..framework.records import KeyValueSet
     from ..gpu.stats import KernelStats
 
 #: Set to ``0``/``off``/``false``/``no`` to disable the ledger.
-LEDGER_ENV = "REPRO_LEDGER"
+LEDGER_ENV = KNOBS["ledger"].env
 #: Overrides the ledger directory (default ``.repro`` under the cwd).
-LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
+LEDGER_DIR_ENV = KNOBS["ledger_dir"].env
 
-DEFAULT_DIR = ".repro"
 LEDGER_NAME = "runs.jsonl"
 #: Schema 2 added the tuner fields (``tuned``, ``tuner_choice``,
 #: ``tuner_predicted_cost``, ``tuner_error`` — all null for untuned
-#: runs).  :func:`read_ledger` stays version-tolerant: readers use
-#: ``.get`` and must accept schema-1 lines with the fields absent.
-SCHEMA = 2
+#: runs); schema 3 added ``config``, the knobs not at their default.
+#: :func:`read_ledger` stays version-tolerant: readers use ``.get`` and
+#: must accept older lines with the fields absent.
+SCHEMA = 3
 
 
-def ledger_enabled() -> bool:
-    """Is run recording on?  (Default yes; ``$REPRO_LEDGER`` opts out.)"""
-    value = os.environ.get(LEDGER_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
-def ledger_dir() -> str:
-    return os.environ.get(LEDGER_DIR_ENV) or DEFAULT_DIR
-
-
-def ledger_path() -> str:
-    """The ledger file new records append to (honours the env)."""
-    return os.path.join(ledger_dir(), LEDGER_NAME)
+def ledger_path(settings=None) -> str:
+    """The ledger file of the ``ledger_dir`` setting (``settings``, or
+    resolved now)."""
+    if settings is None:
+        settings = resolve(names=("ledger_dir",))
+    return os.path.join(settings["ledger_dir"], LEDGER_NAME)
 
 
 # ----------------------------------------------------------------------
@@ -176,10 +172,13 @@ def build_record(plan, inp, backend, result, *, wall_s: float,
         "tuner_choice": tuner_choice,
         "tuner_predicted_cost": tuner_predicted,
         "tuner_error": tuner_error,
-        # Intermediate-store policy: the plan's explicit choice (None
-        # means "default/env"), plus spill accounting when the job
-        # actually ran a spilling shuffle.
-        "store": plan.store,
+        # Every knob not at its default: {name: [source, value]} —
+        # bar the two that only say where this record is written.
+        "config": plan.settings.non_default(("ledger", "ledger_dir")),
+        # Intermediate-store policy: the requested choice (None means
+        # "default/env"), plus spill accounting when the job actually
+        # ran a spilling shuffle.
+        "store": plan.settings.requested("store"),
         "spill_runs": (
             sum(st.extra.get("spill_runs", 0) for st in stats)
             if spilled else None
@@ -232,8 +231,9 @@ def append_record(record: dict, path: str | None = None) -> None:
 
 def record_run(plan, inp, backend, result, *, wall_s: float,
                streamed: bool = False) -> None:
-    """Gate on the env, then build and append one run record."""
-    if not ledger_enabled():
+    """Gate on the ``ledger`` setting, then build and append one run
+    record."""
+    if not plan.settings["ledger"]:
         return
     try:
         record = build_record(plan, inp, backend, result, wall_s=wall_s,
@@ -241,7 +241,7 @@ def record_run(plan, inp, backend, result, *, wall_s: float,
     except Exception:
         # A malformed result must not take the job down with it.
         return
-    append_record(record)
+    append_record(record, ledger_path(plan.settings))
 
 
 # ----------------------------------------------------------------------

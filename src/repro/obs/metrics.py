@@ -111,6 +111,10 @@ class Histogram:
                 "total": self.total}
 
 
+#: KernelStats fields that describe the process, not the job.
+_PROCESS_STATE_FIELDS = ("analysis_cache_hits", "analysis_cache_misses")
+
+
 class MetricsRegistry:
     """Named counters, gauges and histograms with get-or-create access."""
 
@@ -147,9 +151,14 @@ class MetricsRegistry:
 
         Field discovery is introspective (``dataclasses.fields``), so
         counters added to :class:`KernelStats` later are picked up
-        automatically — nothing to hand-maintain here.
+        automatically — nothing to hand-maintain here.  The analysis
+        cache counters are left out: they depend on what earlier jobs
+        in the process warmed, not on this job, and would make the
+        registry differ between two runs of the same job.
         """
         for f in dataclasses.fields(stats):
+            if f.name in _PROCESS_STATE_FIELDS:
+                continue
             value = getattr(stats, f.name)
             if isinstance(value, (int, float)):
                 self.counter(f"{prefix}.{f.name}").inc(value)

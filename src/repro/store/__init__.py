@@ -14,32 +14,23 @@ Map emissions, and yields key-sorted groups into Reduce.
   bounded, enabling intermediates ≫ RAM.
 
 Select per job (``run_job(..., store="spill", memory_budget=...)``),
-per process with ``$REPRO_STORE`` / ``$REPRO_MEMORY_BUDGET``, or on
-the CLIs with ``--store`` / ``--memory-budget``.  The cycle-accurate
+per process with the ``store`` / ``memory_budget`` settings
+(:mod:`repro.config`: ``$REPRO_STORE`` / ``$REPRO_MEMORY_BUDGET``), or
+on the CLIs with ``--store`` / ``--memory-budget``.  The cycle-accurate
 sim backend models the *device* intermediate tiers and ignores the
 host store policy.
 """
 
 from __future__ import annotations
 
-import os
-
 from ..errors import FrameworkError
 from .base import IntermediateStore, StoreStats, record_cost
 from .memory import MemoryStore
 from .spill import (
     DEFAULT_BUDGET,
-    SPILL_DIR_ENV,
     SpillStore,
     merge_runs,
-    resolve_spill_root,
 )
-
-#: Environment variable naming the default store policy.
-STORE_ENV = "REPRO_STORE"
-#: Environment variable giving the default spill budget (bytes;
-#: ``k``/``m``/``g`` suffixes accepted).
-BUDGET_ENV = "REPRO_MEMORY_BUDGET"
 
 #: Registry of the shipped store policies, by name.
 STORES: dict[str, type[IntermediateStore]] = {
@@ -47,97 +38,31 @@ STORES: dict[str, type[IntermediateStore]] = {
     SpillStore.name: SpillStore,
 }
 
-_SUFFIX = {"k": 2**10, "m": 2**20, "g": 2**30}
-
-
-def parse_budget(text: str | int | None) -> int | None:
-    """``"65536"``, ``"64k"``, ``"512M"``, ``"1g"`` -> bytes.
-
-    Rejects non-positive budgets (including plain ints — a literal
-    ``0`` used to slip through unvalidated) and malformed numbers like
-    ``"1.5m"`` with a :class:`~repro.errors.FrameworkError`; both CLIs
-    surface that as the documented exit-2 usage error.
-    """
-    if text is None:
-        return None
-    if isinstance(text, int):
-        if text < 1:
-            raise FrameworkError(
-                f"memory budget must be positive, got {text!r}"
-            )
-        return text
-    raw = text.strip().lower()
-    if not raw:
-        return None
-    mult = 1
-    if raw[-1] in _SUFFIX:
-        mult = _SUFFIX[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = int(raw) * mult
-    except ValueError:
-        raise FrameworkError(
-            f"bad memory budget {text!r}; expected bytes with an "
-            "optional k/m/g suffix (e.g. 65536, 64k, 512M)"
-        ) from None
-    if value < 1:
-        raise FrameworkError(f"memory budget must be positive, got {text!r}")
-    return value
-
-
-def resolve_store_name(name: str | None = None) -> str:
-    """Resolve a store request to a registry name.
-
-    ``None`` consults ``$REPRO_STORE`` (default ``"memory"``); unknown
-    names raise with the known set listed.
-    """
-    if name is None:
-        name = os.environ.get(STORE_ENV) or MemoryStore.name
-    name = name.strip().lower()
-    if name not in STORES:
-        known = ", ".join(sorted(STORES))
-        raise FrameworkError(
-            f"unknown store {name!r}; known stores: {known}"
-        )
-    return name
-
-
-def resolve_budget(budget: int | None = None) -> int | None:
-    """``None`` consults ``$REPRO_MEMORY_BUDGET`` (suffixes allowed)."""
-    if budget is not None:
-        return budget
-    return parse_budget(os.environ.get(BUDGET_ENV))
-
-
-def open_store(name: str | None = None, budget: int | None = None,
-               **kwargs) -> IntermediateStore:
+def open_store(name: str, budget: int | None = None, *,
+               root: str | None = None, **kwargs) -> IntermediateStore:
     """Build a live store for one shuffle hop.
 
-    ``name``/``budget`` fall back to the environment; the budget only
-    applies to the spill store (a budget with ``store="memory"`` is
-    legal and ignored — the memory store is unbounded by design).
+    ``budget`` and ``root`` (the directory the spill store's private
+    run directory is created under) only apply to the spill store; a
+    budget with ``"memory"`` is legal and ignored — the memory store
+    is unbounded by design.
     """
-    name = resolve_store_name(name)
+    if name not in STORES:
+        known = ", ".join(sorted(STORES))
+        raise FrameworkError(f"unknown store {name!r}; known stores: {known}")
     if name == SpillStore.name:
-        return SpillStore(resolve_budget(budget), **kwargs)
+        return SpillStore(budget, root=root, **kwargs)
     return MemoryStore()
 
 
 __all__ = [
-    "BUDGET_ENV",
     "DEFAULT_BUDGET",
     "IntermediateStore",
     "MemoryStore",
-    "SPILL_DIR_ENV",
     "STORES",
-    "STORE_ENV",
     "SpillStore",
     "StoreStats",
     "merge_runs",
     "open_store",
-    "parse_budget",
     "record_cost",
-    "resolve_budget",
-    "resolve_spill_root",
-    "resolve_store_name",
 ]

@@ -23,8 +23,8 @@ host-side implementation:
   exceed the budget still streams through the merge correctly (the
   group list lives outside the tracked buffer, which stays bounded).
 
-Run files live in a private temp directory (honouring
-``$REPRO_SPILL_DIR``) and are removed by :meth:`~SpillStore.close`,
+Run files live in a private temp directory (under the ``spill_dir``
+setting, ``$REPRO_SPILL_DIR``) and are removed by :meth:`~SpillStore.close`,
 which every execution path reaches via ``try/finally`` — a failed job
 leaves no orphaned runs behind.
 
@@ -41,39 +41,12 @@ import struct
 import tempfile
 from typing import Iterator
 
-from ..errors import FrameworkError
 from .base import RECORD_OVERHEAD, IntermediateStore, record_cost
 
 #: Default budget when spilling is requested without an explicit one.
 DEFAULT_BUDGET = 64 * 2**20
 
-#: Environment variable naming the directory run files live under.
-SPILL_DIR_ENV = "REPRO_SPILL_DIR"
-
 _HEADER = struct.Struct("<II")
-
-
-def resolve_spill_root() -> str | None:
-    """Validated ``$REPRO_SPILL_DIR`` (or None for the system default).
-
-    A missing or unwritable directory raises a
-    :class:`~repro.errors.FrameworkError` naming the path — callers
-    check at *store open* so a bad setting fails before any work runs,
-    not on the first spilled run mid-shuffle, and no half-created temp
-    directories are left behind.
-    """
-    root = os.environ.get(SPILL_DIR_ENV)
-    if not root:
-        return None
-    if not os.path.isdir(root):
-        raise FrameworkError(
-            f"$REPRO_SPILL_DIR={root!r} is not an existing directory"
-        )
-    if not os.access(root, os.W_OK | os.X_OK):
-        raise FrameworkError(
-            f"$REPRO_SPILL_DIR={root!r} is not writable"
-        )
-    return root
 
 
 class SpillStore(IntermediateStore):
@@ -82,14 +55,16 @@ class SpillStore(IntermediateStore):
     name = "spill"
 
     def __init__(self, budget: int | None = None, *,
-                 spill_dir: str | None = None, prefix: str = "run",
-                 own_dir: bool | None = None) -> None:
+                 spill_dir: str | None = None, root: str | None = None,
+                 prefix: str = "run", own_dir: bool | None = None) -> None:
         """``budget`` is the tracked in-memory byte bound (default
         :data:`DEFAULT_BUDGET`).  ``spill_dir`` places run files in an
         existing directory the caller owns (the parallel backend gives
         each job one shared dir); by default the store creates — and on
-        :meth:`close` removes — its own temp dir.  ``prefix`` namespaces
-        this store's run files within a shared dir."""
+        :meth:`close` removes — its own temp dir, under ``root`` (the
+        ``spill_dir`` setting; default the system temp dir).
+        ``prefix`` namespaces this store's run files within a shared
+        dir."""
         super().__init__()
         if budget is None:
             budget = DEFAULT_BUDGET
@@ -101,9 +76,7 @@ class SpillStore(IntermediateStore):
         self._runs: list[str] = []
         self._prefix = prefix
         self._dir = spill_dir
-        # Fail on a bad $REPRO_SPILL_DIR here, at store open, not on
-        # the first spilled run mid-shuffle.
-        self._root = resolve_spill_root() if spill_dir is None else None
+        self._root = root
         self._own_dir = (spill_dir is None) if own_dir is None else own_dir
         self._closed = False
 

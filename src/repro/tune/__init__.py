@@ -31,23 +31,19 @@ from __future__ import annotations
 from .calibrate import CalibrationState, load_calibration, lookup_history
 from .cost import Candidate, CostConstants, CostModel, estimate_cycles
 from .decide import (
-    AUTOTUNE_ENV,
     TunerDecision,
-    autotune_enabled,
     decide_execution,
     decide_modes,
 )
 from .profiler import InputStats, profile_input
 
 __all__ = [
-    "AUTOTUNE_ENV",
     "CalibrationState",
     "Candidate",
     "CostConstants",
     "CostModel",
     "InputStats",
     "TunerDecision",
-    "autotune_enabled",
     "decide_execution",
     "decide_modes",
     "estimate_cycles",

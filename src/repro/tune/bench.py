@@ -26,13 +26,12 @@ machine-neutral, and exactly the objective the tuner optimises.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 
+from ..config import override
 from ..framework.job import run_job
 from ..framework.modes import ALL_MODES, MemoryMode, ReduceStrategy
 from ..gpu.config import DeviceConfig
-from ..obs.ledger import LEDGER_DIR_ENV
 from ..workloads import Histogram, KMeans, LinearRegression, WordCount
 from .synthetic import SYNTHETIC_CASES, synthetic_case
 
@@ -71,36 +70,6 @@ def _strategies(has_reduce):
     return (ReduceStrategy.TR, ReduceStrategy.BR) if has_reduce else (None,)
 
 
-def _fresh_ledger_env():
-    """Context: point the ledger at a throwaway directory.
-
-    Each case's tuned run gets its own empty ledger (via
-    :meth:`isolate`), so the decision under test is the factory cost
-    model's — not calibration echo from earlier cases or history
-    override from the fixed sweep's records.  This is also what makes
-    the artefact reproducible: the same tree produces the same
-    BENCH_autotune.json regardless of the local ledger's contents.
-    """
-
-    class _Ctx:
-        def __enter__(self):
-            self.prev = os.environ.get(LEDGER_DIR_ENV)
-            return self
-
-        def isolate(self):
-            os.environ[LEDGER_DIR_ENV] = tempfile.mkdtemp(
-                prefix="repro-tune-bench-")
-
-        def __exit__(self, *exc):
-            if self.prev is None:
-                os.environ.pop(LEDGER_DIR_ENV, None)
-            else:
-                os.environ[LEDGER_DIR_ENV] = self.prev
-            return False
-
-    return _Ctx()
-
-
 def run_autotune_bench(
     *,
     seed: int = 0,
@@ -116,9 +85,15 @@ def run_autotune_bench(
     tuned_total = 0.0
     per_case_ok = True
 
-    with _fresh_ledger_env() as env:
-        for name, spec, inp, has_reduce in cases:
-            env.isolate()
+    for name, spec, inp, has_reduce in cases:
+        # Each case's tuned run gets its own empty ledger, so the
+        # decision under test is the factory cost model's — not
+        # calibration echo from earlier cases or history override from
+        # the fixed sweep's records.  This is also what makes the
+        # artefact reproducible: the same tree produces the same
+        # BENCH_autotune.json whatever the local ledger holds.
+        ledger_dir = tempfile.mkdtemp(prefix="repro-tune-bench-")
+        with override(ledger_dir=ledger_dir):
             if progress:
                 progress(f"case {name}: tuned run")
             tuned = run_job(

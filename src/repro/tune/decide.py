@@ -36,9 +36,6 @@ from .calibrate import CalibrationState, distinct_configs, load_calibration, \
 from .cost import Candidate, estimate_cycles, estimate_wall
 from .profiler import InputStats, profile_input
 
-#: Truthy values turn the tuner on for every job (drivers honour it).
-AUTOTUNE_ENV = "REPRO_AUTOTUNE"
-
 #: History overrides the model only when the ledger measured at least
 #: this many distinct configurations of the exact same input.
 HISTORY_MIN_CONFIGS = 2
@@ -52,13 +49,6 @@ DEFAULT_MEMORY_CEILING = 256 << 20
 
 #: Worker-pool sizes the wall objective explores.
 _POOL_SIZES = (2, 4, 8)
-
-
-def autotune_enabled(environ=None) -> bool:
-    """Is ``$REPRO_AUTOTUNE`` set to a truthy value?"""
-    env = os.environ if environ is None else environ
-    value = str(env.get(AUTOTUNE_ENV, "")).strip().lower()
-    return value in ("1", "on", "true", "yes")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ ratio, emitted-key cardinality and skew.  The resulting
 :class:`InputStats` is the only thing the cost model ever sees, so
 profiling cost is O(sample), never O(input); the overhead bar (<5% of
 a tiny job's wall time, pinned in ``tests/tune``) is what keeps
-``--autotune`` safe to leave on.
+``$REPRO_AUTOTUNE`` safe to leave on.
 
 Cardinality is extrapolated from the sample with a saturation
 heuristic: a vocabulary the sample already exhausts (few singleton

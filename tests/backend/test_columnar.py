@@ -1,7 +1,7 @@
 """The columnar fast backend: selection, batching, fallback, parity.
 
 Covers what the cross-backend differential matrix does not: how the
-columnar path is *selected* (constructor, plan, ``$REPRO_COLUMNAR``,
+columnar path is *selected* (constructor, ``$REPRO_COLUMNAR``,
 the ``"columnar"`` registry name), the batch-kernel decline contract
 (None -> per-batch scalar fallback), kernels that exist on only one
 side (batch Map + scalar Reduce and vice versa), the batch-width env,
@@ -12,17 +12,21 @@ streamed and Mars jobs under columnar, and the observability counters
 import pytest
 
 from repro.backend import BACKENDS, ColumnarBackend, FastBackend, get_backend
-from repro.backend.fast import (
-    COLUMNAR_BATCH_ENV,
-    COLUMNAR_ENV,
-    columnar_env_enabled,
-)
+from repro.config import resolve
 from repro.errors import FrameworkError
 from repro.framework import ReduceStrategy, run_job, run_streamed_job
 from repro.framework.api import MapReduceSpec
 from repro.framework.columns import Column, ColumnBatch
 from repro.framework.records import KeyValueSet
 from repro.workloads import Histogram, KMeans, WordCount
+
+
+COLUMNAR_ENV = "REPRO_COLUMNAR"
+COLUMNAR_BATCH_ENV = "REPRO_COLUMNAR_BATCH"
+
+
+def columnar_env_enabled():
+    return resolve(names=("columnar",))["columnar"]
 
 
 def _ident(key, value, emit, const):
@@ -56,6 +60,9 @@ class TestSelection:
         for value in ("0", "off", "", "no"):
             monkeypatch.setenv(COLUMNAR_ENV, value)
             assert not columnar_env_enabled(), value
+        monkeypatch.setenv(COLUMNAR_ENV, "maybe")
+        with pytest.raises(FrameworkError, match="REPRO_COLUMNAR"):
+            columnar_env_enabled()
 
     def test_constructor_overrides_env(self, monkeypatch):
         monkeypatch.setenv(COLUMNAR_ENV, "1")
@@ -92,6 +99,11 @@ class TestSelection:
 
 
 class TestBatchKernelContract:
+    """The columnar runs pin the memory store: a spilling shuffle
+    streams its groups to the scalar Reduce loop, so the batch-kernel
+    contract under test would not engage (the suite also runs under
+    REPRO_STORE=spill)."""
+
     def test_map_batch_only_with_scalar_reduce(self):
         """Regression: a spec with map_batch but no reduce_batch mixes
         the vectorized Map with the scalar Reduce loop over
@@ -104,7 +116,7 @@ class TestBatchKernelContract:
                              reduce_record=_count, map_batch=map_batch)
         inp = _inp(200)
         col = run_job(spec, inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
+                      backend=FastBackend(columnar=True), store="memory")
         scalar = run_job(spec, inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
@@ -117,7 +129,7 @@ class TestBatchKernelContract:
         wl = WordCount()
         inp = wl.generate("small", seed=2, scale=0.2)
         col = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
+                      backend=FastBackend(columnar=True), store="memory")
         scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
@@ -139,7 +151,7 @@ class TestBatchKernelContract:
                              reduce_record=_count, map_batch=map_batch)
         inp = _inp(40)
         col = run_job(spec, inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
+                      backend=FastBackend(columnar=True), store="memory")
         scalar = run_job(spec, inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
@@ -154,7 +166,7 @@ class TestBatchKernelContract:
                              reduce_record=_count,
                              reduce_batch=reduce_batch)
         col = run_job(spec, _inp(50), strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
+                      backend=FastBackend(columnar=True), store="memory")
         scalar = run_job(spec, _inp(50), strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
@@ -164,7 +176,8 @@ class TestBatchKernelContract:
         spec = MapReduceSpec(name="bad", map_record=_ident,
                              map_batch=lambda cols, *, const=None: [1, 2])
         with pytest.raises(FrameworkError, match="map_batch"):
-            run_job(spec, _inp(4), backend=FastBackend(columnar=True))
+            run_job(spec, _inp(4), backend=FastBackend(columnar=True),
+                    store="memory")
 
     def test_bad_reduce_batch_return_type_rejected(self):
         spec = MapReduceSpec(
@@ -173,7 +186,7 @@ class TestBatchKernelContract:
         )
         with pytest.raises(FrameworkError, match="reduce_batch"):
             run_job(spec, _inp(4), strategy=ReduceStrategy.TR,
-                    backend=FastBackend(columnar=True))
+                    backend=FastBackend(columnar=True), store="memory")
 
     def test_reduce_batch_not_used_for_br(self):
         """BR folds stay scalar by contract even when a batch Reduce
@@ -181,7 +194,7 @@ class TestBatchKernelContract:
         wl = Histogram()
         inp = wl.generate("small", seed=1, scale=0.2)
         col = run_job(wl.spec(), inp, strategy=ReduceStrategy.BR,
-                      backend=FastBackend(columnar=True))
+                      backend=FastBackend(columnar=True), store="memory")
         scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.BR,
                          backend="fast")
         assert col.output == scalar.output
@@ -212,8 +225,11 @@ class TestJobShapes:
         wl = KMeans()
         inp = wl.generate("small", seed=6)
         spec = wl.spec_for_seed(6)
+        # Memory store pinned: a spilling shuffle bypasses the batch
+        # Reduce kernel this test counts.
         col = run_mars_job(spec, inp, strategy=ReduceStrategy.TR,
-                           backend=FastBackend(columnar=True))
+                           backend=FastBackend(columnar=True),
+                           store="memory")
         scalar = run_mars_job(spec, inp, strategy=ReduceStrategy.TR,
                               backend="fast")
         assert col.output == scalar.output
@@ -241,8 +257,10 @@ class TestLedgerColumns:
         monkeypatch.setenv(COLUMNAR_ENV, "1")
         wl = KMeans()
         inp = wl.generate("small", seed=3)
+        # Memory store pinned: a spilling shuffle bypasses the batch
+        # Reduce kernel whose counter the ledger must record.
         run_job(wl.spec_for_seed(3), inp, strategy=ReduceStrategy.TR,
-                backend="fast")
+                backend="fast", store="memory")
         lines = (tmp_path / "runs.jsonl").read_text().splitlines()
         rec = json.loads(lines[-1])
         assert rec["columnar_batches"] >= 1
@@ -267,11 +285,9 @@ class TestWorkerCountValidation:
         assert get_backend("parallel:3").workers == 3
 
     def test_workers_env_rejects_bad_values(self, monkeypatch):
-        from repro.backend.sharded import default_workers
-
         for bad in ("0", "-1", "abc", "1.5"):
             monkeypatch.setenv("REPRO_WORKERS", bad)
             with pytest.raises(FrameworkError):
-                default_workers()
+                get_backend("parallel")
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert default_workers() == 4
+        assert get_backend("parallel").workers == 4

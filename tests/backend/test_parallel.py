@@ -14,7 +14,6 @@ import struct
 import pytest
 
 from repro.backend import BACKENDS, ParallelBackend, get_backend
-from repro.backend.sharded import WORKERS_ENV, default_workers
 from repro.errors import FrameworkError
 from repro.framework import (
     KeyValueSet,
@@ -61,17 +60,17 @@ class TestRegistry:
             get_backend("parallel:lots")
 
     def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        assert default_workers() == 5
-        assert ParallelBackend().workers == 5
+        monkeypatch.setenv("REPRO_WORKERS", "5")
+        assert get_backend("parallel").workers == 5
 
     def test_env_variable_invalid(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(FrameworkError):
-            default_workers()
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        with pytest.raises(FrameworkError, match="REPRO_WORKERS"):
+            get_backend("parallel")
 
     def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert get_backend("parallel").workers == (os.cpu_count() or 1)
         assert ParallelBackend().workers == (os.cpu_count() or 1)
 
     def test_backend_env_selects_parallel(self, monkeypatch):

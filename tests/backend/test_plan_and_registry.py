@@ -3,7 +3,6 @@
 import pytest
 
 from repro.backend import (
-    BACKEND_ENV,
     BACKENDS,
     BatchPolicy,
     ENGINE_MARS,
@@ -86,11 +85,11 @@ class TestRegistry:
             get_backend("gpu")
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert isinstance(get_backend(None), SimBackend)
-        monkeypatch.setenv(BACKEND_ENV, "fast")
+        monkeypatch.setenv("REPRO_BACKEND", "fast")
         assert isinstance(get_backend(None), FastBackend)
-        monkeypatch.setenv(BACKEND_ENV, "")
+        monkeypatch.setenv("REPRO_BACKEND", "")
         assert isinstance(get_backend(None), SimBackend)
 
 

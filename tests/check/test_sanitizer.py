@@ -3,19 +3,22 @@
 import pytest
 
 from repro.check import (
-    CHECK_ENV,
     CheckConfig,
     CheckError,
     CheckReport,
     Finding,
     resolve_check,
 )
+from repro.config import resolve
 from repro.errors import FrameworkError
 from repro.framework.api import MapReduceSpec
 from repro.framework.job import run_job
 from repro.framework.modes import MemoryMode, ReduceStrategy
 from repro.framework.records import KeyValueSet
 from repro.gpu.config import DeviceConfig
+
+
+CHECK_ENV = "REPRO_CHECK"
 
 
 def _u32(n):
@@ -46,17 +49,17 @@ CFG = DeviceConfig.small(2)
 class TestResolveCheck:
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv(CHECK_ENV, raising=False)
-        assert resolve_check(None) is None
+        assert resolve_check(resolve()["check"]) is None
 
     def test_env_values(self, monkeypatch):
         monkeypatch.setenv(CHECK_ENV, "1")
-        cfg = resolve_check(None)
+        cfg = resolve_check(resolve()["check"])
         assert cfg is not None and cfg.strict
         monkeypatch.setenv(CHECK_ENV, "report")
-        cfg = resolve_check(None)
+        cfg = resolve_check(resolve()["check"])
         assert cfg is not None and not cfg.strict
         monkeypatch.setenv(CHECK_ENV, "0")
-        assert resolve_check(None) is None
+        assert resolve_check(resolve()["check"]) is None
 
     def test_explicit_values(self):
         assert resolve_check(False) is None

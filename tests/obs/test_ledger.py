@@ -4,6 +4,7 @@ import json
 import multiprocessing as mp
 import os
 
+from repro.config import resolve
 from repro.framework import MemoryMode, ReduceStrategy
 from repro.framework.job import run_job
 from repro.gpu import DeviceConfig
@@ -22,14 +23,14 @@ def _run(backend="fast"):
 class TestEnvGating:
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv(ledger.LEDGER_ENV, raising=False)
-        assert ledger.ledger_enabled()
+        assert resolve()["ledger"]
 
     def test_opt_out_values(self, monkeypatch):
         for value in ("0", "off", "false", "no", "OFF", " False "):
             monkeypatch.setenv(ledger.LEDGER_ENV, value)
-            assert not ledger.ledger_enabled()
+            assert not resolve()["ledger"]
         monkeypatch.setenv(ledger.LEDGER_ENV, "1")
-        assert ledger.ledger_enabled()
+        assert resolve()["ledger"]
 
     def test_dir_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ledger.LEDGER_DIR_ENV, str(tmp_path))

@@ -12,14 +12,12 @@ import os
 
 import pytest
 
+from repro.config import resolve
 from repro.errors import FrameworkError
 from repro.store import (
     MemoryStore,
     SpillStore,
     open_store,
-    parse_budget,
-    resolve_budget,
-    resolve_store_name,
 )
 from repro.store.base import record_cost
 from repro.store.spill import merge_runs
@@ -46,7 +44,29 @@ def _mixed_pairs(n=300, keys=7):
 # ----------------------------------------------------------------------
 
 
+def _setting(name, value):
+    return resolve({name: value}, names=(name,))[name]
+
+
+def parse_budget(text):
+    return _setting("memory_budget", text)
+
+
+def resolve_budget(budget):
+    return _setting("memory_budget", budget)
+
+
+def resolve_store_name(name):
+    return _setting("store", name)
+
+
 class TestBudgetParsing:
+    """The ``memory_budget`` and ``store`` settings (repro.config)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
+
     @pytest.mark.parametrize("text,want", [
         (None, None),
         ("123", 123),
@@ -96,7 +116,7 @@ class TestBudgetParsing:
 
     def test_open_store_honours_env_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "2k")
-        store = open_store("spill", None)
+        store = open_store("spill", resolve()["memory_budget"])
         try:
             assert isinstance(store, SpillStore)
             assert store.budget == 2048
@@ -190,21 +210,22 @@ def _spill_dirs(root) -> list[str]:
 
 
 class TestSpillDirValidation:
-    """A bad $REPRO_SPILL_DIR fails at store *open*, by name — not as
-    an OSError from the first spilled run mid-shuffle."""
+    """A bad $REPRO_SPILL_DIR fails when the job's settings resolve,
+    by name — before any store opens, not as an OSError from the first
+    spilled run mid-shuffle."""
 
     def test_missing_dir_fails_at_open(self, tmp_path, monkeypatch):
         missing = str(tmp_path / "nope")
         monkeypatch.setenv("REPRO_SPILL_DIR", missing)
         with pytest.raises(FrameworkError, match="nope"):
-            SpillStore(64)
+            resolve()
 
     def test_file_as_dir_fails_at_open(self, tmp_path, monkeypatch):
         f = tmp_path / "afile"
         f.write_text("x")
         monkeypatch.setenv("REPRO_SPILL_DIR", str(f))
         with pytest.raises(FrameworkError, match="afile"):
-            SpillStore(64)
+            resolve()
 
     def test_unwritable_dir_fails_at_open(self, tmp_path, monkeypatch):
         if os.getuid() == 0:
@@ -214,7 +235,7 @@ class TestSpillDirValidation:
         ro.chmod(0o555)
         monkeypatch.setenv("REPRO_SPILL_DIR", str(ro))
         with pytest.raises(FrameworkError, match="not writable"):
-            SpillStore(64)
+            resolve()
 
     def test_explicit_spill_dir_skips_env(self, tmp_path, monkeypatch):
         # A caller-owned dir is used as-is; the env is not consulted.
@@ -235,18 +256,16 @@ class TestCleanup:
         assert glob.glob(str(tmp_path / "*.run")) == []
         assert tmp_path.exists()  # shared dir belongs to the caller
 
-    def test_own_dir_removed_after_full_iteration(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        store = SpillStore(1)
+    def test_own_dir_removed_after_full_iteration(self, tmp_path):
+        store = SpillStore(1, root=str(tmp_path))
         for i in range(5):
             store.emit(b"k", _u32(i))
         assert len(_spill_dirs(tmp_path)) == 1
         assert len(list(store.iter_groups())) == 1
         assert _spill_dirs(tmp_path) == []  # iter_groups closes on exhaustion
 
-    def test_abandoned_iteration_still_cleans_up(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        store = SpillStore(1)
+    def test_abandoned_iteration_still_cleans_up(self, tmp_path):
+        store = SpillStore(1, root=str(tmp_path))
         for i in range(20):
             store.emit(b"k%d" % i, _u32(i))
         it = store.iter_groups()

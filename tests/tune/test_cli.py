@@ -1,4 +1,4 @@
-"""CLI wiring: --autotune / --mode on both drivers, report --tuner.
+"""CLI wiring: --mode (auto included) on both drivers, report --tuner.
 
 The friendly exit-2 paths all route through the one central name
 validator (``repro.framework.modes.resolve_*_name``) — these tests pin
@@ -24,17 +24,20 @@ def _code(result):
 
 class TestTraceCli:
     def test_autotune_runs_and_reports_choice(self, tmp_path, capsys):
-        rc = trace_main(TRACE_ARGS + ["--autotune",
+        rc = trace_main(TRACE_ARGS + ["--mode", "auto",
                                       "--out", str(tmp_path)])
         assert _code(rc) == 0
         text = capsys.readouterr().out
         assert "tuner" in text or (tmp_path / "metrics.json").exists()
 
-    def test_autotune_conflicts_with_fixed_mode(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            trace_main(TRACE_ARGS + ["--autotune", "--mode", "SIO"])
-        assert exc.value.code == 2
-        assert "--autotune" in capsys.readouterr().err
+    def test_mars_rejects_any_mode(self, capsys):
+        # Mars has its own two-pass scheme; a --mode used to be
+        # accepted and then recorded as mode "Mars".
+        for mode in ("auto", "G"):
+            with pytest.raises(SystemExit) as exc:
+                trace_main(TRACE_ARGS + ["--mars", "--mode", mode])
+            assert exc.value.code == 2
+            assert "--mars" in capsys.readouterr().err
 
     def test_unknown_mode_exits_2_with_friendly_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -52,14 +55,10 @@ class TestTraceCli:
 
 
 class TestBenchCli:
-    def test_autotune_conflicts_with_fixed_mode(self, capsys):
-        rc = bench_main(["validate", "--autotune", "--mode", "SIO"])
-        assert rc == 2
-        assert "--autotune" in capsys.readouterr().err
-
     def test_unknown_mode_exits_2(self, capsys):
-        rc = bench_main(["validate", "--mode", "TURBO"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            bench_main(["validate", "--mode", "TURBO"])
+        assert exc.value.code == 2
         assert "unknown memory mode" in capsys.readouterr().err
 
     def test_mode_restricted_to_validate(self, capsys):
@@ -67,7 +66,7 @@ class TestBenchCli:
         assert rc == 2
 
     def test_validate_auto_matrix_passes(self, capsys):
-        rc = bench_main(["validate", "--autotune", "--workload", "WC",
+        rc = bench_main(["validate", "--mode", "auto", "--workload", "WC",
                          "--mps", "2"])
         assert _code(rc) == 0
         out = capsys.readouterr().out

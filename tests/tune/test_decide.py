@@ -5,13 +5,13 @@ import os
 
 import pytest
 
+from repro.config import resolve
 from repro.framework.modes import MemoryMode, ReduceStrategy
 from repro.gpu.config import DeviceConfig
 from repro.obs.ledger import digest_input
 from repro.tune.calibrate import CalibrationState
 from repro.tune.decide import (
     TPB_CANDIDATES,
-    autotune_enabled,
     decide_execution,
     decide_modes,
 )
@@ -143,8 +143,9 @@ class TestHistoryOverride:
 
 
 class TestEnv:
-    def test_truthy_values(self):
-        assert autotune_enabled({"REPRO_AUTOTUNE": "1"})
-        assert autotune_enabled({"REPRO_AUTOTUNE": "on"})
-        assert not autotune_enabled({"REPRO_AUTOTUNE": "0"})
-        assert not autotune_enabled({})
+    def test_truthy_values(self, monkeypatch):
+        monkeypatch.delenv("REPRO_AUTOTUNE", raising=False)
+        assert not resolve()["autotune"]
+        for value, want in (("1", True), ("on", True), ("0", False)):
+            monkeypatch.setenv("REPRO_AUTOTUNE", value)
+            assert resolve()["autotune"] is want
