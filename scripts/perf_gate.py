@@ -28,13 +28,15 @@ identical tree — a same-machine drift bound on a foreign snapshot
 produces false failures, observed as ratio 27.5 vs limit 24.3 on an
 unmodified seed tree).
 
-The gate also holds the columnar fast path to its acceptance bar:
+The gate also holds the columnar fast path to its acceptance bars:
 the fast/columnar CPU-time ratio on small kmeans must stay at or
 above ``--columnar-floor`` (default 5, the bar from
-``BENCH_columnar.json``).  Like sim/fast, the ratio is machine
-neutral — both paths run the same Python on the same runner — so a
-regression in the batch kernels or the array shuffle (whose cost the
-scalar path does not share) shows up directly.
+``BENCH_columnar.json``), and on small wordcount — ragged keys,
+hash-grouped in the shuffle — at or above 1: columnar is never slower
+than scalar.  Like sim/fast, the ratio is machine neutral — both
+paths run the same Python on the same runner — so a regression in
+the batch kernels or the array shuffle (whose cost the scalar path
+does not share) shows up directly.
 
 Finally the gate re-checks the committed autotuner benchmark
 (``BENCH_autotune.json``, regenerated with ``repro-bench autotune``):
@@ -67,6 +69,10 @@ sys.path.insert(0, _HERE)
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from profile_sim import _measure_tree  # noqa: E402
+
+#: Minimum fast/columnar CPU-time ratio on small wordcount: the
+#: columnar path must never lose to scalar on ragged keys.
+WORDCOUNT_COLUMNAR_FLOOR = 1.0
 
 
 def _median(values):
@@ -129,7 +135,7 @@ def main(argv=None) -> int:
                    help="minimum fast/columnar CPU-time ratio on small "
                         "kmeans (the columnar acceptance bar)")
     p.add_argument("--no-columnar", action="store_true",
-                   help="skip the columnar-over-fast check")
+                   help="skip the columnar-over-fast checks")
     p.add_argument("--autotune-baseline",
                    default=os.path.join(_ROOT, "BENCH_autotune.json"),
                    help="committed autotuner benchmark artefact to "
@@ -168,20 +174,22 @@ def main(argv=None) -> int:
             failed = True
 
     if not args.no_columnar:
-        _, fast_cpu = _measure_tree(_ROOT, "kmeans", "small",
-                                    args.repeats, "fast")
-        _, col_cpu = _measure_tree(_ROOT, "kmeans", "small",
-                                   args.repeats, "columnar")
-        speedup = fast_cpu / col_cpu
-        verdict = "FAIL" if speedup < args.columnar_floor else "ok"
-        print(f"kmeans-small: fast {fast_cpu:.3f}s-cpu columnar "
-              f"{col_cpu:.3f}s-cpu speedup {speedup:.1f}x "
-              f"(floor {args.columnar_floor:.1f}x) {verdict}")
-        if speedup < args.columnar_floor:
-            print("perf-gate: columnar fast path regressed below its "
-                  "acceptance bar; see BENCH_columnar.json for the "
-                  "committed reference numbers.", file=sys.stderr)
-            failed = True
+        for workload, floor in (("kmeans", args.columnar_floor),
+                                ("wordcount", WORDCOUNT_COLUMNAR_FLOOR)):
+            _, fast_cpu = _measure_tree(_ROOT, workload, "small",
+                                        args.repeats, "fast")
+            _, col_cpu = _measure_tree(_ROOT, workload, "small",
+                                       args.repeats, "columnar")
+            speedup = fast_cpu / col_cpu
+            verdict = "FAIL" if speedup < floor else "ok"
+            print(f"{workload}-small: fast {fast_cpu:.3f}s-cpu columnar "
+                  f"{col_cpu:.3f}s-cpu speedup {speedup:.1f}x "
+                  f"(floor {floor:.1f}x) {verdict}")
+            if speedup < floor:
+                print("perf-gate: columnar fast path regressed below its "
+                      "acceptance bar; see BENCH_columnar.json for the "
+                      "committed reference numbers.", file=sys.stderr)
+                failed = True
 
     if not args.no_autotune:
         from repro.tune.bench import check_report

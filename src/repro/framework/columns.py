@@ -20,8 +20,10 @@ its phases:
   dict-of-lists group-by.  Fixed-width keys up to 8 bytes sort as one
   big-endian integer argsort (big-endian packing makes integer order
   equal lexicographic byte order); wider fixed keys lexsort 8-byte
-  limbs; variable-width keys fall back to Python's (stable) ``sorted``
-  so byte order is preserved exactly in every case;
+  limbs; variable-width keys are hash-grouped — only the distinct
+  keys are sorted (as ``bytes``, so byte order is exact), each record
+  is coded by its key's rank, and a stable argsort over the rank codes
+  orders the records;
 * :class:`GroupedColumns` — the grouped intermediate: one entry per
   distinct key, an ``int64`` boundary array and the value column in
   group-major emission order.  Iterating it yields the same
@@ -145,17 +147,17 @@ class Column:
     # -- record access -------------------------------------------------
 
     def at(self, i: int) -> bytes:
-        off = self.offsets
-        return self.blob[off[i]:off[i + 1]]
+        lo, hi = self.offsets[i:i + 2].tolist()
+        return self.blob[lo:hi]
 
     def tolist(self) -> list[bytes]:
-        blob, off = self.blob, self.offsets
-        return [blob[off[i]:off[i + 1]] for i in range(len(self.lengths))]
+        # Slicing with Python ints: indexing the int64 offsets one
+        # record at a time costs about twice the slicing itself.
+        blob, off = self.blob, self.offsets.tolist()
+        return [blob[lo:hi] for lo, hi in zip(off, off[1:])]
 
     def __iter__(self) -> Iterator[bytes]:
-        blob, off = self.blob, self.offsets
-        for i in range(len(self.lengths)):
-            yield blob[off[i]:off[i + 1]]
+        return iter(self.tolist())
 
     # -- transforms ----------------------------------------------------
 
@@ -166,8 +168,13 @@ class Column:
             mat = self.matrix()[order]
             return Column(mat.tobytes(),
                           np.full(len(order), w, dtype=np.int64))
-        items = self.tolist()
-        return Column.from_list([items[i] for i in order])
+        off = self.offsets
+        blob = self.blob
+        return Column(
+            b"".join([blob[lo:hi] for lo, hi in
+                      zip(off[order].tolist(), off[order + 1].tolist())]),
+            self.lengths[order],
+        )
 
     @classmethod
     def concat(cls, columns: Sequence["Column"]) -> "Column":
@@ -275,8 +282,8 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
     keep emission order); ``starts`` is an ``int64`` array of group
     start indices into the sorted order, with a final ``n`` sentinel
     (``len(starts) - 1`` groups); ``vectorized`` reports whether the
-    array fast path ran (fixed-width keys) or the Python fallback
-    (ragged keys) did.
+    fixed-width array sort ran (``False``: ragged keys were
+    hash-grouped).
     """
     n = len(keys)
     if n == 0:
@@ -311,20 +318,21 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
             np.array([n], dtype=np.int64),
         ))
         return order, starts, True
-    # Ragged keys: Python's sorted is stable and compares raw bytes.
+    # Ragged keys: hash-group.  Only the distinct keys are sorted
+    # (Python compares raw bytes); each record is coded by its key's
+    # rank, so a stable argsort over the codes orders the records by
+    # key and keeps equal keys in emission order.
     items = keys.tolist()
-    order = np.fromiter(
-        sorted(range(n), key=items.__getitem__), dtype=np.int64, count=n
-    )
-    starts = [0]
-    prev = items[order[0]]
-    for pos in range(1, n):
-        cur = items[order[pos]]
-        if cur != prev:
-            starts.append(pos)
-            prev = cur
-    starts.append(n)
-    return order, np.array(starts, dtype=np.int64), False
+    distinct = sorted(dict.fromkeys(items))
+    rank = dict(zip(distinct, range(len(distinct))))
+    # The narrowest code dtype: numpy's stable sort is a radix sort
+    # for codes of 16 bits or fewer.
+    codes = np.fromiter(map(rank.__getitem__, items),
+                        dtype=np.min_scalar_type(len(distinct)), count=n)
+    order = np.argsort(codes, kind="stable").astype(np.int64, copy=False)
+    starts = np.zeros(len(distinct) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=len(distinct)), out=starts[1:])
+    return order, starts, False
 
 
 class GroupedColumns:
@@ -347,7 +355,7 @@ class GroupedColumns:
         self.values = values
         #: Producing store's StoreStats (spill accounting), if any.
         self.stats = stats
-        #: Did the array sort path run (vs the ragged-key fallback)?
+        #: Did the fixed-width array sort run (vs ragged hash grouping)?
         self.vectorized = vectorized
 
     @classmethod
@@ -378,9 +386,7 @@ class GroupedColumns:
     def __iter__(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """Scalar view: ``(key, [value, ...])`` per group — the exact
         stream the scalar Reduce loop consumes."""
-        vals = self.values
-        off = self.offsets
-        for g in range(len(self.keys)):
-            yield self.keys.at(g), [
-                vals.at(i) for i in range(off[g], off[g + 1])
-            ]
+        vals = self.values.tolist()
+        off = self.offsets.tolist()
+        for key, lo, hi in zip(self.keys.tolist(), off, off[1:]):
+            yield key, vals[lo:hi]

@@ -33,6 +33,21 @@ def wc_map(key, value, emit, const) -> None:
             emit(word, ONE)
 
 
+def wc_map_batch(cols, *, const=None):
+    """Vectorized Map: split the whole batch of lines in one call.
+
+    Joining the lines with the separator makes every line boundary a
+    word boundary, so one ``split`` yields exactly the words of
+    :func:`wc_map`, line by line and in order; empty words (from
+    leading, trailing or repeated spaces and empty lines) are dropped
+    as there.  Each word pairs with ``ONE``: no local combine, so the
+    Reduce sees the same value lists as after the scalar Map.
+    """
+    words = [w for w in b" ".join(cols.keys.tolist()).split(b" ") if w]
+    return ColumnBatch(Column.from_list(words),
+                       Column.repeated(ONE, len(words)))
+
+
 def wc_reduce(key, values, emit, const) -> None:
     """TR reduce: sum the occurrence counts of one word."""
     total = 0
@@ -44,8 +59,9 @@ def wc_reduce(key, values, emit, const) -> None:
 def wc_reduce_batch(keys, offsets, values, *, const=None):
     """Vectorized TR reduce: per-word ``reduceat`` count sums.
 
-    Map stays scalar (word splitting is ragged by nature), making WC
-    the scalar-map + batch-reduce mixed case.  A sum past ``u32``
+    The words are ragged, so the Shuffle hash-groups them (see
+    :func:`~repro.framework.columns.sort_and_group`); the counts are
+    fixed 4-byte values, so the sums vectorize.  A sum past ``u32``
     declines to the scalar path so ``struct.pack("<I", ...)`` raises
     the identical overflow error the scalar kernel always raised.
     """
@@ -82,6 +98,7 @@ class WordCount(Workload):
         return MapReduceSpec(
             name="wordcount",
             map_record=wc_map,
+            map_batch=wc_map_batch,
             reduce_record=wc_reduce,
             reduce_batch=wc_reduce_batch,
             combine=wc_combine,

@@ -9,6 +9,8 @@ streamed and Mars jobs under columnar, and the observability counters
 (KernelStats extras + ledger fields).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.backend import BACKENDS, ColumnarBackend, FastBackend, get_backend
@@ -124,8 +126,20 @@ class TestBatchKernelContract:
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 0
 
     def test_reduce_batch_only_with_scalar_map(self):
-        """WordCount's shape: ragged Map stays scalar, Reduce runs the
-        batch kernel over the grouped columns."""
+        """WordCount without its batch Map: the scalar Map emits ragged
+        keys, Reduce runs the batch kernel over the grouped columns."""
+        spec = dataclasses.replace(WordCount().spec(), map_batch=None)
+        inp = WordCount().generate("small", seed=2, scale=0.2)
+        col = run_job(spec, inp, strategy=ReduceStrategy.TR,
+                      backend=FastBackend(columnar=True), store="memory")
+        scalar = run_job(spec, inp, strategy=ReduceStrategy.TR,
+                         backend="fast")
+        assert col.output == scalar.output
+        assert col.map_stats.extra["columnar_map_vectorized"] == 0
+        assert col.map_stats.extra["columnar_map_fallback"] >= 1
+        assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 1
+
+    def test_wordcount_vectorizes_map_and_reduce(self):
         wl = WordCount()
         inp = wl.generate("small", seed=2, scale=0.2)
         col = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
@@ -133,8 +147,10 @@ class TestBatchKernelContract:
         scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
-        assert col.map_stats.extra["columnar_map_vectorized"] == 0
-        assert col.map_stats.extra["columnar_map_fallback"] >= 1
+        assert col.map_stats.extra["columnar_map_vectorized"] >= 1
+        assert col.map_stats.extra["columnar_map_fallback"] == 0
+        assert (col.map_stats.extra["fast_records_out"]
+                == scalar.map_stats.extra["fast_records_out"])
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 1
 
     def test_declining_map_batch_falls_back_per_batch(self, monkeypatch):

@@ -17,7 +17,10 @@ inputs rather than the workloads' well-behaved ones:
 * the pure prefix-sum used by result collection is an exclusive scan
   over arbitrary warp-sized inputs;
 * the parallel backend's shard splitter covers ``[0, n)`` with
-  contiguous, balanced, non-empty ranges.
+  contiguous, balanced, non-empty ranges;
+* the columnar shuffle's ``sort_and_group`` (hash grouping for ragged
+  keys) yields exactly the stable byte-order sort of the records and
+  its group boundaries.
 """
 
 import pytest
@@ -27,6 +30,7 @@ hyp = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.errors import ConfigError  # noqa: E402
+from repro.framework.columns import Column, sort_and_group  # noqa: E402
 from repro.framework.host import shard_slices  # noqa: E402
 from repro.framework.layout import (  # noqa: E402
     CONTROL_BYTES,
@@ -249,3 +253,33 @@ def test_shard_slices_partition(n, shards):
     if slices:
         sizes = [hi - lo for lo, hi in slices]
         assert max(sizes) - min(sizes) <= 1
+
+
+# ----------------------------------------------------------------------
+# Columnar shuffle: sort_and_group against the stable-sort reference
+# ----------------------------------------------------------------------
+
+#: Byte-order hazards: the empty key, NUL bytes, prefix chains
+#: (b"a" < b"a\x00" < b"ab") and bytes >= 0x80 (unsigned order).
+_hazard_keys = st.sampled_from(
+    [b"", b"\x00", b"a", b"a\x00", b"ab", b"\x80", b"\xff\x00", b"a\xff"]
+)
+
+
+@SETTINGS
+@given(keys=st.lists(st.one_of(_hazard_keys, payload), min_size=1,
+                     max_size=60))
+@hyp.example(keys=[b"a", b"a\x00", b"ab", b"a", b"", b"a\x00"])
+@hyp.example(keys=[b"ab", b"a\x00", b"a", b"\x80", b"", b"\x00"])
+@hyp.example(keys=[b"hi"] * 5)
+def test_sort_and_group_matches_stable_sort(keys):
+    n = len(keys)
+    want = sorted(range(n), key=keys.__getitem__)
+    want_starts = [0] + [
+        pos for pos in range(1, n) if keys[want[pos]] != keys[want[pos - 1]]
+    ] + [n]
+    col = Column.from_list(keys)
+    order, starts, vectorized = sort_and_group(col)
+    assert order.tolist() == want
+    assert starts.tolist() == want_starts
+    assert vectorized == (col.fixed_width is not None)

@@ -14,7 +14,10 @@ import pytest
 
 from repro.cpu_ref import normalised, reference_job
 from repro.framework import MemoryMode, ReduceStrategy, run_job
+from repro.framework.columns import ColumnBatch
+from repro.framework.records import KeyValueSet
 from repro.gpu import DeviceConfig
+from repro.gpu.accessor import host_accessor
 from repro.workloads import (
     ALL_WORKLOADS,
     InvertedIndex,
@@ -23,6 +26,7 @@ from repro.workloads import (
     StringMatch,
     WordCount,
 )
+from repro.workloads.wordcount import wc_map, wc_map_batch
 
 CFG = DeviceConfig.small(2)
 MODES = list(MemoryMode)
@@ -87,6 +91,20 @@ class TestWordCount:
                       strategy=ReduceStrategy.TR, config=CFG)
         counted = sum(struct.unpack("<I", v)[0] for v in res.output.values)
         assert counted == total_words
+
+    @pytest.mark.parametrize("lines", [
+        [b"the cat", b"  lead", b"trail  ", b"a  b   a", b"", b" ",
+         b"tab\there x\t", b"caf\xc3\xa9 \xff\x00 na\xefve", b"the"],
+        [b"", b"   "],
+    ], ids=["mixed", "blank"])
+    def test_map_batch_emits_the_scalar_pair_stream(self, lines):
+        want = KeyValueSet()
+        for i, line in enumerate(lines):
+            wc_map(host_accessor(line), host_accessor(struct.pack("<I", i)),
+                   want.append, None)
+        cols = ColumnBatch.from_lists(
+            lines, [struct.pack("<I", i) for i in range(len(lines))])
+        assert list(wc_map_batch(cols).to_kvs()) == list(want)
 
     def test_br_matches_tr(self):
         wc = WordCount()
