@@ -7,8 +7,8 @@ strategy, backend, worker count, input size and digest, simulated
 cycles, wall seconds, a KernelStats digest, analysis-cache hit rate,
 check-finding count, straggler skew, intermediate-store spill
 accounting (policy, runs written, bytes spilled) and columnar-path
-accounting (batches, vectorized Map/Reduce counts).  Unlike the hand-regenerated
-``BENCH_*.json`` snapshots, the ledger accumulates *every* run, so
+accounting (batches, vectorized Map/Reduce counts).  Unlike one
+``python -m bench`` run, the ledger accumulates *every* run, so
 ``repro-report`` can render performance trajectories over time and
 flag regressions against a rolling baseline.
 

@@ -4,8 +4,8 @@ Reads ``.repro/runs.jsonl`` (see :mod:`repro.obs.ledger`) and renders:
 
 * **trajectory tables** per ``(workload, backend)`` — the most recent
   runs with wall seconds, simulated cycles, record counts and check
-  findings, so performance over time is visible without
-  hand-regenerating a ``BENCH_*.json``;
+  findings, so performance over time is visible without re-running a
+  benchmark;
 * **regression flags** — the latest run of each group is compared
   against a rolling median of the previous comparable runs (same
   mode, strategy, input digest and streaming shape); a wall-clock
