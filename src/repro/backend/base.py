@@ -48,13 +48,6 @@ class ExecutionBackend(abc.ABC):
     def open(self, plan: JobPlan) -> Any:
         """Create the per-job execution context (device, config, ...)."""
 
-    def resolve_auto(self, ctx: Any, plan: JobPlan, inp: KeyValueSet
-                     ) -> JobPlan:
-        """Resolve ``mode='auto'`` into a concrete plan."""
-        raise NotImplementedError(
-            f"backend {self.name!r} does not support mode='auto'"
-        )
-
     def close(self, ctx: Any) -> None:
         """Release per-job execution resources.
 

@@ -20,6 +20,7 @@ a future hook lands in one place, not four.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from ..framework.host import host_download_cost
 from ..framework.job import JobResult, PhaseTimings
@@ -81,6 +82,30 @@ def _apply_tuned(plan, result: JobResult) -> None:
     extra["tuner_source"] = decision.source
 
 
+def _resolve_modes(ctx, plan: JobPlan, inp: KeyValueSet) -> JobPlan:
+    """Resolve ``mode="auto"`` with the cost-model tuner
+    (:func:`repro.tune.decide_modes`): profile the input, price every
+    legal (mode, strategy, block size) candidate by predicted cycles on
+    the job's device config, and let ledger history of the exact input
+    override the model.  The tuner never runs a kernel.
+
+    Every backend resolves the same way: on the functional backends the
+    mode is only a timing label, but equal picks across backends let
+    the differential suite compare runs one-to-one.
+    """
+    from ..tune import decide_modes
+
+    decision = decide_modes(
+        plan.spec, inp, config=ctx.config,
+        strategy=plan.strategy,
+        threads_per_block=plan.threads_per_block,
+    )
+    return replace(
+        plan, mode=decision.mode, strategy=decision.strategy,
+        threads_per_block=decision.threads_per_block, tuned=decision,
+    ).normalised()
+
+
 def execute_plan(
     plan: JobPlan,
     inp: KeyValueSet,
@@ -111,7 +136,7 @@ def execute_plan(
 
 def _execute_plan(plan, inp, backend, ctx, tr) -> JobResult:
     if plan.mode == "auto":
-        plan = backend.resolve_auto(ctx, plan, inp)
+        plan = _resolve_modes(ctx, plan, inp)
         ctx.plan = plan
     timings = PhaseTimings()
 
@@ -222,7 +247,7 @@ def _execute_streamed(plan, inp, backend, ctx, tr):
     )
 
     if plan.mode == "auto":
-        plan = backend.resolve_auto(ctx, plan, inp)
+        plan = _resolve_modes(ctx, plan, inp)
         ctx.plan = plan
     name = plan.spec.name
 

@@ -131,26 +131,6 @@ class FastBackend(ExecutionBackend):
         for store in stores:
             store.close()
 
-    def resolve_auto(self, ctx, plan, inp):
-        """Memory modes are a timing label for the fast backend, not a
-        semantics choice — but 'auto' still routes through the same
-        cost-model tuner as the sim backend so the chosen (mode,
-        strategy, block size) labels match across backends and the
-        differential suite can compare runs one-to-one."""
-        from dataclasses import replace
-
-        from ..tune import decide_modes
-
-        decision = decide_modes(
-            plan.spec, inp, config=ctx.config,
-            strategy=plan.strategy,
-            threads_per_block=plan.threads_per_block,
-        )
-        return replace(
-            plan, mode=decision.mode, strategy=decision.strategy,
-            threads_per_block=decision.threads_per_block, tuned=decision,
-        ).normalised()
-
     # -- transfers (model-costed, data stays host-side) ----------------
 
     def upload_input(self, ctx, kvs, label):

@@ -90,7 +90,8 @@ class JobPlan:
     store: str | None = None
     memory_budget: int | None = None
     #: The :class:`repro.tune.TunerDecision` that produced this plan,
-    #: set by the backends' ``resolve_auto`` / ``run_job(tune=True)``.
+    #: set when the execution core resolves ``mode="auto"`` or by
+    #: ``run_job(tune=True)``.
     #: ``None`` for untuned plans — the ledger records them as such.
     tuned: object | None = None
     #: Every knob resolved from the fields above, the tuner's picks and

@@ -16,11 +16,11 @@ scan / write pipeline in :mod:`repro.mars.framework`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..framework.host import retire_output, stage_input
 from ..framework.map_engine import build_map_runtime, launch_map
-from ..framework.records import DeviceRecordSet, KeyValueSet
+from ..framework.records import DeviceRecordSet
 from ..framework.reduce_engine import build_reduce_runtime, launch_reduce
 from ..framework.shuffle import shuffle
 from ..gpu.config import DeviceConfig
@@ -66,25 +66,6 @@ class SimBackend(ExecutionBackend):
             return None
         ctx.dev.checker = None
         return ctx.sanitizer.finish()
-
-    def resolve_auto(self, ctx: SimContext, plan: JobPlan, inp: KeyValueSet
-                     ) -> JobPlan:
-        """Cost-model tuner (:mod:`repro.tune`): profile the input,
-        price every legal (mode, strategy, block size) candidate by
-        predicted cycles, let ledger history of the exact input
-        override the model.  No measured probing — the tuner never
-        runs a kernel."""
-        from ..tune import decide_modes
-
-        decision = decide_modes(
-            plan.spec, inp, config=ctx.dev.config,
-            strategy=plan.strategy,
-            threads_per_block=plan.threads_per_block,
-        )
-        return replace(
-            plan, mode=decision.mode, strategy=decision.strategy,
-            threads_per_block=decision.threads_per_block, tuned=decision,
-        ).normalised()
 
     # -- transfers -----------------------------------------------------
 

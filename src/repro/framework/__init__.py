@@ -16,7 +16,6 @@ from .api import Emit, MapReduceSpec
 from .bitonic import BitonicResult, bitonic_sort_device
 from .global_sync import GlobalBarrier, max_resident_blocks
 from .pipeline import IterativeJob, IterativeResult
-from .autotune import TuningChoice, TuningReport, autotune, probe_workload, suggest
 from .job import JobResult, PhaseTimings, run_job
 from .layout import SmemLayout, plan_layout
 from .modes import ALL_MODES, MemoryMode, ReduceStrategy, effective_reduce_mode
@@ -28,11 +27,6 @@ from .sync import WaitSignal
 
 __all__ = [
     "ALL_MODES",
-    "TuningChoice",
-    "TuningReport",
-    "autotune",
-    "probe_workload",
-    "suggest",
     "DeviceRecordSet",
     "Emit",
     "GroupedDeviceSet",

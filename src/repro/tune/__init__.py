@@ -19,8 +19,8 @@ picked by hand.  This package picks them from input statistics:
   history lookups for inputs the ledger has already seen;
 * :mod:`repro.tune.decide` — the decision layer: profile, consult
   history, price candidates, return a :class:`TunerDecision` that the
-  backends' ``resolve_auto`` and the drivers' ``tune=True`` path
-  apply;
+  execution core applies for ``mode="auto"`` and the drivers'
+  ``tune=True`` path applies before a backend is chosen;
 * :mod:`repro.tune.bench` — the ``repro-bench autotune`` workload
   matrix: tuned choice vs. the exhaustive fixed sweep, emitting
   ``BENCH_autotune.json``.
@@ -29,7 +29,7 @@ picked by hand.  This package picks them from input statistics:
 from __future__ import annotations
 
 from .calibrate import CalibrationState, load_calibration, lookup_history
-from .cost import Candidate, CostConstants, CostModel, estimate_cycles
+from .cost import Candidate, CostConstants, estimate_cycles
 from .decide import (
     TunerDecision,
     decide_execution,
@@ -41,7 +41,6 @@ __all__ = [
     "CalibrationState",
     "Candidate",
     "CostConstants",
-    "CostModel",
     "InputStats",
     "TunerDecision",
     "decide_execution",

@@ -19,8 +19,8 @@ were fit by least squares over a measured sweep of the eight shipped
 workloads (``scripts/calibrate_tuner.py`` reproduces and prints them),
 and :mod:`repro.tune.calibrate` refines them at runtime from matching
 run-ledger records.  Wall-clock rates price the functional backends
-(fast / parallel:N / columnar / dist:N) plus the spill-budget knob for
-the execution-level decision.
+(fast / parallel:N / columnar) plus the spill-budget knob for the
+execution-level decision.
 """
 
 from __future__ import annotations
@@ -44,26 +44,12 @@ class Candidate:
     mode: MemoryMode = MemoryMode.SIO
     strategy: ReduceStrategy | None = None
     threads_per_block: int = 128
-    #: Execution substrate ("sim", "fast", "parallel", "columnar",
-    #: "dist") — only the wall objective distinguishes these.
+    #: Execution substrate ("sim", "fast", "parallel", "columnar") —
+    #: only the wall objective distinguishes these.
     backend: str = "sim"
     workers: int | None = None
-    columnar: bool = False
     store: str | None = None
     memory_budget: int | None = None
-    split_bytes: int | None = None
-
-    def label(self) -> str:
-        """Compact human/ledger form, e.g. ``SO/BR@128 fast+spill``."""
-        strat = self.strategy.value if self.strategy else "-"
-        text = f"{self.mode.value}/{strat}@{self.threads_per_block}"
-        backend = self.backend
-        if self.workers:
-            backend += f":{self.workers}"
-        text += f" {backend}"
-        if self.store == "spill":
-            text += "+spill"
-        return text
 
 
 # ----------------------------------------------------------------------
@@ -149,9 +135,6 @@ class CostConstants:
     parallel_fixed: float = 0.035
     parallel_per_worker: float = 0.012
     parallel_ship_per_byte: float = 2.0e-8
-    dist_fixed: float = 0.25
-    dist_per_worker: float = 0.08
-    dist_ship_per_byte: float = 2.5e-7
     spill_per_byte: float = 1.2e-8
     #: Per-(knob) multiplicative corrections learned from the ledger
     #: ({"mode:G": 1.03, "backend:fast": 0.97, ...}); bounded by the
@@ -283,9 +266,8 @@ def estimate_wall(
     Prices the fast scalar loop, the columnar discounts (only when the
     workload actually ships batch kernels *and* the input profile is
     vectorizable), the parallel pool's fork+ship overheads against its
-    ideal speedup, the dist coordinator's socket hop, and the spill
-    store's per-byte write+merge charge when the candidate budgets the
-    shuffle.
+    ideal speedup, and the spill store's per-byte write+merge charge
+    when the candidate budgets the shuffle.
     """
     c = constants or CostConstants()
     n = float(stats.records)
@@ -300,7 +282,7 @@ def estimate_wall(
     reduce_s = (c.host_per_group * groups + c.host_per_emission * e) \
         if cand.strategy is not None else 0.0
 
-    if cand.backend == "columnar" or cand.columnar:
+    if cand.backend == "columnar":
         batches = max(1.0, math.ceil(n / 8192.0))
         if spec is not None and getattr(spec, "map_batch", None) is not None \
                 and not stats.ragged_keys:
@@ -313,18 +295,13 @@ def estimate_wall(
             reduce_s *= c.columnar_reduce_discount
         total = map_s + shuffle_s + reduce_s + c.columnar_per_batch * batches
         total *= c.corrected("backend:columnar")
-    elif cand.backend in ("parallel", "dist"):
+    elif cand.backend == "parallel":
         workers = max(1, cand.workers or cpu_count)
         speedup = float(min(workers, max(1, cpu_count)))
-        compute = (map_s + reduce_s) / speedup + shuffle_s
-        if cand.backend == "parallel":
-            total = compute + c.parallel_fixed \
-                + c.parallel_per_worker * workers \
-                + c.parallel_ship_per_byte * inter_bytes
-        else:
-            total = compute + c.dist_fixed + c.dist_per_worker * workers \
-                + c.dist_ship_per_byte * (in_bytes + 2 * inter_bytes)
-        total *= c.corrected(f"backend:{cand.backend}")
+        total = (map_s + reduce_s) / speedup + shuffle_s \
+            + c.parallel_fixed + c.parallel_per_worker * workers \
+            + c.parallel_ship_per_byte * inter_bytes
+        total *= c.corrected("backend:parallel")
     else:
         total = (map_s + shuffle_s + reduce_s) * c.corrected("backend:fast")
 
@@ -334,17 +311,3 @@ def estimate_wall(
         total += c.spill_per_byte * over
     return total
 
-
-class CostModel:
-    """Convenience bundle: constants + the two objectives."""
-
-    def __init__(self, constants: CostConstants | None = None):
-        self.constants = constants or CostConstants()
-
-    def cycles(self, stats: InputStats, cand: Candidate, config) -> float:
-        return estimate_cycles(stats, cand, config, self.constants)
-
-    def wall(self, stats: InputStats, cand: Candidate, spec, *,
-             cpu_count: int = 1) -> float:
-        return estimate_wall(stats, cand, spec, cpu_count=cpu_count,
-                             constants=self.constants)

@@ -5,12 +5,11 @@ Two entry points, one per objective:
 * :func:`decide_modes` — the **cycles** objective.  Prices every legal
   (memory mode, reduce strategy, block size) combination with
   :func:`repro.tune.cost.estimate_cycles` and returns the cheapest.
-  This is what ``SimBackend.resolve_auto`` (and the fast backend, for
-  mode-labelling parity) applies when a plan says ``mode="auto"``.
+  This is what the execution core (:mod:`repro.backend.core`) applies,
+  on every backend, when a plan says ``mode="auto"``.
 * :func:`decide_execution` — the **wall-clock** objective.  Also picks
-  the execution substrate (fast / parallel:N / columnar), the spill
-  budget, and the columnar toggle with
-  :func:`repro.tune.cost.estimate_wall`.  This is what
+  the execution substrate (fast / parallel:N / columnar) and the spill
+  budget with :func:`repro.tune.cost.estimate_wall`.  This is what
   ``run_job(tune=True)`` / ``$REPRO_AUTOTUNE`` applies before a
   backend is even constructed.
 
@@ -62,7 +61,6 @@ class TunerDecision:
     #: (the cycles objective never moves a job off its backend).
     backend: str | None = None
     workers: int | None = None
-    columnar: bool | None = None
     store: str | None = None
     memory_budget: int | None = None
     #: Model output: predicted cost of the chosen candidate, in the
@@ -86,8 +84,6 @@ class TunerDecision:
             if self.workers:
                 backend += f":{self.workers}"
             text += f" {backend}"
-            if self.columnar:
-                text += "+columnar"
             if self.store == "spill":
                 text += "+spill"
         return text
@@ -207,8 +203,7 @@ def decide_modes(
     )
 
 
-def _execution_candidates(spec, stats, *, cpu_count, memory_ceiling,
-                          allow_dist):
+def _execution_candidates(spec, stats, *, cpu_count, memory_ceiling):
     store = None
     budget = None
     if stats.est_intermediate_bytes > memory_ceiling:
@@ -218,13 +213,11 @@ def _execution_candidates(spec, stats, *, cpu_count, memory_ceiling,
     batched = getattr(spec, "map_batch", None) is not None \
         or getattr(spec, "reduce_batch", None) is not None
     if batched:
-        yield Candidate(backend="columnar", columnar=True, **base)
+        yield Candidate(backend="columnar", **base)
     pools = sorted({w for w in (*_POOL_SIZES, cpu_count)
                     if 1 < w <= max(cpu_count, 2)})
     for workers in pools:
         yield Candidate(backend="parallel", workers=workers, **base)
-        if allow_dist:
-            yield Candidate(backend="dist", workers=workers, **base)
 
 
 def decide_execution(
@@ -234,7 +227,6 @@ def decide_execution(
     strategy: ReduceStrategy | str | None = "auto",
     cpu_count: int | None = None,
     memory_ceiling: int = DEFAULT_MEMORY_CEILING,
-    allow_dist: bool = False,
     calibration: CalibrationState | None = None,
     stats: InputStats | None = None,
     config=None,
@@ -260,8 +252,7 @@ def decide_execution(
         and strategy is not None
 
     candidates = list(_execution_candidates(
-        spec, stats, cpu_count=cpu_count, memory_ceiling=memory_ceiling,
-        allow_dist=allow_dist))
+        spec, stats, cpu_count=cpu_count, memory_ceiling=memory_ceiling))
     # The wall objective needs a strategy to price Reduce: use TR as
     # the pricing baseline when the choice is open (strategy choice
     # itself belongs to the cycles objective below and does not move
@@ -293,7 +284,6 @@ def decide_execution(
         threads_per_block=modes.threads_per_block,
         backend=pick.backend,
         workers=pick.workers,
-        columnar=pick.columnar or None,
         store=pick.store,
         memory_budget=pick.memory_budget,
         predicted_cost=priced[pick],

@@ -9,6 +9,7 @@ from repro.config import resolve
 from repro.framework.modes import MemoryMode, ReduceStrategy
 from repro.gpu.config import DeviceConfig
 from repro.obs.ledger import digest_input
+from repro.tune.bench import bench_cases
 from repro.tune.calibrate import CalibrationState
 from repro.tune.decide import (
     TPB_CANDIDATES,
@@ -48,7 +49,8 @@ class TestGoldenTable:
         assert decision.predicted_cost > 0
 
     def test_choices_agree_with_committed_bench(self):
-        """The committed artefact's tuned choices are this model's."""
+        """The committed artefact's tuned choices are this model's, for
+        every case of the bench matrix (synthetic and shipped)."""
         path = os.path.join(os.path.dirname(__file__), "..", "..",
                             "BENCH_autotune.json")
         with open(path) as f:
@@ -57,6 +59,16 @@ class TestGoldenTable:
         for name, choice in GOLDEN.items():
             assert by_case[name]["tuned_choice"] == choice
             assert by_case[name]["ratio_to_best"] <= doc["per_case_bar"]
+        decided = set()
+        for name, spec, inp, has_reduce in bench_cases(0):
+            decision = decide_modes(
+                spec, inp, config=CFG, calibration=FRESH,
+                strategy="auto" if has_reduce else None)
+            assert decision.choice == by_case[name]["tuned_choice"], name
+            assert round(decision.predicted_cost, 1) \
+                == by_case[name]["predicted_cycles"], name
+            decided.add(name)
+        assert decided == set(by_case)
         assert doc["gates"] == {"per_case_within_bar": True,
                                 "tuned_beats_every_fixed_mode": True}
 
@@ -112,6 +124,18 @@ class TestExecution:
                                     memory_ceiling=1024)
         assert decision.store == "spill"
         assert decision.memory_budget == 1024
+
+    def test_columnar_choice_names_backend_once(self):
+        from repro.workloads import KMeans
+
+        w = KMeans()
+        inp = w.generate("small", seed=0, scale=0.4)
+        spec = w.spec_for_size("small", seed=0, scale=0.4)
+        decision = decide_execution(spec, inp, config=CFG,
+                                    strategy=ReduceStrategy.TR,
+                                    calibration=FRESH, cpu_count=1)
+        assert decision.backend == "columnar"
+        assert decision.choice.count("columnar") == 1
 
 
 class TestHistoryOverride:

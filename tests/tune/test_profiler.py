@@ -20,6 +20,10 @@ def word_map(key, value, emit, const):
             emit(w, struct.pack("<I", 1))
 
 
+def silent_map(key, value, emit, const):
+    pass
+
+
 def sum_reduce(key, values, emit):
     total = 0
     for v in values:
@@ -53,10 +57,22 @@ class TestSamplingCaps:
         assert stats.sampled == 0
         assert stats.emissions_per_record == 0
 
+    def test_zero_output(self):
+        # A Map that emits nothing profiles to an empty output.
+        silent = MapReduceSpec(name="silent", map_record=silent_map)
+        stats = profile_input(silent, KeyValueSet([(b"abc", b"")] * 5))
+        assert stats.records == 5
+        assert stats.out_in_ratio == 0
+        assert stats.emissions_per_record == 0
+
     def test_extrapolates_counts(self):
         inp = KeyValueSet([(b"x y z", b"")] * 50)
         stats = profile_input(_spec(), inp)
         assert stats.emissions_per_record == 3.0
+
+    def test_max_record_bytes(self):
+        inp = KeyValueSet([(b"a" * 100, b"b" * 50), (b"c", b"d")])
+        assert profile_input(_spec(), inp).rec_bytes_max == 150
 
     def test_memoised_by_content(self):
         inp = KeyValueSet([(b"a b", b"")] * 50)
