@@ -11,10 +11,6 @@ are orthogonal to *how* they execute.  A
 * ``"fast"`` — :class:`FastBackend`: a dict-based functional executor
   that skips warp-level simulation.  Orders of magnitude faster; use
   it for correctness runs, large inputs and development loops.
-* ``"parallel"`` — :class:`ParallelBackend`: the fast executor
-  sharded across a forked ``multiprocessing`` pool.  ``"parallel:N"``
-  pins the worker count; plain ``"parallel"`` takes the ``workers``
-  setting (``$REPRO_WORKERS``) and defaults to the CPU count.
 * ``"columnar"`` — :class:`ColumnarBackend`: the fast executor pinned
   to the vectorized columnar path (batched numpy Map/Shuffle/Reduce
   via each workload's ``map_batch``/``reduce_batch`` kernels, scalar
@@ -23,12 +19,11 @@ are orthogonal to *how* they execute.  A
 * ``"dist"`` — :class:`DistributedBackend`: the fast executor run as
   a coordinator over socket-connected worker processes, with
   worker-death re-execution, speculative straggler duplicates, and
-  scriptable fault injection (:class:`repro.dist.FaultPlan`).
-  ``"dist:N"`` pins the worker count, like ``"parallel:N"``.
-
-``"parallel"`` and ``"dist"`` are one sharded backend
-(:mod:`repro.backend.sharded`: byte-split Map tasks, key-range Reduce
-tasks, output byte-identical to ``"fast"``) over two transports.
+  scriptable fault injection (:class:`repro.dist.FaultPlan`).  Its
+  byte-split Map tasks and key-range Reduce tasks keep the output
+  byte-identical to ``"fast"``.  ``"dist:N"`` pins the worker count;
+  plain ``"dist"`` takes the ``workers`` setting (``$REPRO_WORKERS``)
+  and defaults to the CPU count.
 
 Select per call (``run_job(..., backend="fast")``), or process-wide
 with the ``backend`` setting (:mod:`repro.config`; ``$REPRO_BACKEND``),
@@ -42,7 +37,6 @@ from .base import ExecutionBackend
 from .core import execute_plan, execute_streamed
 from .distributed import DistributedBackend
 from .fast import ColumnarBackend, FastBackend
-from .parallel import ParallelBackend
 from .plan import ENGINE_MARS, ENGINE_SHARED, BatchPolicy, JobPlan
 from .sim import SimBackend
 
@@ -50,7 +44,6 @@ from .sim import SimBackend
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SimBackend.name: SimBackend,
     FastBackend.name: FastBackend,
-    ParallelBackend.name: ParallelBackend,
     ColumnarBackend.name: ColumnarBackend,
     DistributedBackend.name: DistributedBackend,
 }
@@ -61,9 +54,9 @@ def get_backend(backend: str | ExecutionBackend | None = None
 
     Instances pass through; ``None`` takes the ``backend`` setting
     (:mod:`repro.config`: ``$REPRO_BACKEND``, default ``"sim"``);
-    strings are looked up in :data:`BACKENDS`.  ``"parallel:N"`` /
-    ``"dist:N"`` pin the worker count of the parallel / distributed
-    backend, which otherwise takes the ``workers`` setting.
+    strings are looked up in :data:`BACKENDS`.  ``"dist:N"`` pins the
+    worker count of the distributed backend, which otherwise takes the
+    ``workers`` setting.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -85,7 +78,6 @@ __all__ = [
     "ExecutionBackend",
     "FastBackend",
     "JobPlan",
-    "ParallelBackend",
     "SimBackend",
     "execute_plan",
     "execute_streamed",

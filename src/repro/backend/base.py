@@ -16,11 +16,10 @@ The main implementations:
   executor that skips warp-level simulation entirely.  Handles are
   plain host :class:`~repro.framework.records.KeyValueSet` objects;
   only the host<->device transfer model is costed.
-* :class:`repro.backend.sharded.ShardedBackend` — the fast executor
-  sharded across worker processes (byte-split Map tasks, key-range
-  Reduce tasks) over a fork-pool (``"parallel"``) or socket
-  (``"dist"``) transport.  Handles are host record sets or the
-  backend's private spill-run lists.
+* :class:`repro.backend.distributed.DistributedBackend` — the fast
+  executor sharded across socket-connected worker processes
+  (byte-split Map tasks, key-range Reduce tasks).  Handles are host
+  record sets or the backend's private spill-run lists.
 
 Handles are deliberately opaque to the core: it only ever passes them
 back into the same backend.

@@ -53,7 +53,7 @@ def _apply_check(backend: ExecutionBackend, ctx, tr, result: JobResult) -> None:
 def _apply_telemetry(backend: ExecutionBackend, ctx, result: JobResult) -> None:
     """Harvest cross-process worker profiles (if any) into the result.
 
-    The parallel backend banks one :class:`~repro.obs.telemetry.
+    The dist backend banks one :class:`~repro.obs.telemetry.
     ShardProfile` per shard per sharded phase; the straggler summary
     is derived here so every caller sees it on ``JobResult``.
     """

@@ -35,10 +35,7 @@ def _tuner_picks(decision) -> dict:
     objective never moves a job off its backend or store)."""
     if decision is None or decision.objective != "wall":
         return {}
-    backend = decision.backend or "fast"
-    if decision.workers:
-        backend += f":{decision.workers}"
-    return dict(backend=backend, store=decision.store,
+    return dict(backend=decision.backend or "fast", store=decision.store,
                 memory_budget=decision.memory_budget)
 
 

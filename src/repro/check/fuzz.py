@@ -6,12 +6,13 @@ count), a memory mode, a reduce strategy and tuning knobs, then runs
 it on the simulator *with the sanitizer in strict mode*, on the fast
 functional backend (three times: once on the default memory store,
 once on the spill store under a tiny forced budget, and once through
-the columnar execution path under a small batch width), and through
-the sequential CPU oracle
-(:func:`repro.cpu_ref.reference.reference_job`).  All outputs must
-agree after order normalisation — the alternate store policy and the
-columnar path must match the scalar fast run byte for byte — and the
-sanitizer must report nothing.
+the columnar execution path under a small batch width), on the
+distributed backend (``dist:2``) with the in-process fallback off,
+and through the sequential CPU oracle
+(:func:`repro.cpu_ref.reference.reference_job`).  All outputs must agree after order normalisation — the alternate
+store policy, the columnar path and the distributed run must match
+the scalar fast run byte for byte — and the sanitizer must report
+nothing.
 
 The fuzz kernels have no batch implementations, so the columnar leg
 exercises exactly the hard part: array-shuffle grouping plus the
@@ -216,10 +217,10 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
 
     The fuzz kernels emit only u32 integer values, so every backend
     must be byte-exact against the oracle after order normalisation;
-    the parallel backend must also be byte-identical to fast.
+    the distributed backend must also be byte-identical to fast.
     """
+    from ..backend.distributed import DistributedBackend
     from ..backend.fast import FastBackend
-    from ..backend.parallel import ParallelBackend
 
     spec = _make_spec(case.kind, case.io_ratio)
     inp = build_input(case)
@@ -243,12 +244,12 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
     if spill.output != fast.output:
         return (f"spill-store output diverges from the memory store "
                 f"({len(spill.output)} vs {len(fast.output)} records)")
-    par = run_job(spec, inp,
-                  backend=ParallelBackend(workers=2, min_records=0),
-                  **common)
-    if par.output != fast.output:
-        return (f"parallel output diverges from fast "
-                f"({len(par.output)} vs {len(fast.output)} records)")
+    dist = run_job(spec, inp,
+                   backend=DistributedBackend(workers=2, min_records=0),
+                   **common)
+    if dist.output != fast.output:
+        return (f"dist output diverges from fast "
+                f"({len(dist.output)} vs {len(fast.output)} records)")
     # Columnar execution under a batch width small enough that most
     # cases span several batches.  These kernels declare no batch
     # implementations, so this drives the array shuffle plus the

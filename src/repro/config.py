@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import FrameworkError
 
-#: Backends that take a worker count (``"parallel:4"``, ``"dist:2"``).
-SHARDED_BACKENDS = ("parallel", "dist")
+#: Backends that take a worker count (``"dist:2"``).
+SHARDED_BACKENDS = ("dist",)
 
 # ----------------------------------------------------------------------
 # Value parsers: each maps a raw value to the effective one, or raises
@@ -129,7 +129,7 @@ def _backend(raw):
     if not colon:
         return base
     if base not in SHARDED_BACKENDS:
-        raise ValueError(f"only {' and '.join(SHARDED_BACKENDS)} take a "
+        raise ValueError(f"only {', '.join(SHARDED_BACKENDS)} takes a "
                          "worker count")
     try:
         return f"{base}:{positive_int(count)}"
@@ -181,11 +181,11 @@ class Knob:
 KNOBS: dict[str, Knob] = {k.name: k for k in (
     Knob("backend", "REPRO_BACKEND", "--backend", _backend, "sim",
          "execution backend: sim (cycle-accurate), fast (functional), "
-         "columnar (fast, vectorized), parallel[:N] (fast over a process "
-         "pool) or dist[:N] (fast over socket workers)"),
+         "columnar (fast, vectorized) or dist[:N] (fast over socket "
+         "workers)"),
     Knob("workers", "REPRO_WORKERS", "--workers", positive_int, None,
-         "worker processes of the parallel and dist backends (default: "
-         "the CPU count)"),
+         "worker processes of the dist backend (default: the CPU "
+         "count)"),
     Knob("columnar", "REPRO_COLUMNAR", None, boolean, False,
          "run the fast backend's vectorized columnar path (1/0)"),
     Knob("columnar_batch", "REPRO_COLUMNAR_BATCH", None, positive_int,
@@ -360,8 +360,7 @@ def cli_settings(prog: str, args):
             base = settings["backend"].partition(":")[0]
             if (flags.get("workers") is not None
                     and base not in SHARDED_BACKENDS):
-                raise FrameworkError("--workers needs the parallel or dist "
-                                     "backend")
+                raise FrameworkError("--workers needs the dist backend")
             if (flags.get("memory_budget") is not None
                     and settings["store"] != "spill"):
                 raise FrameworkError("--memory-budget needs the spill store")

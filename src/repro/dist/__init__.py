@@ -6,9 +6,8 @@ the process boundary the MapReduce way — a coordinator scheduling
 tasks over socket-connected worker processes, surviving worker death
 by re-execution and stragglers by speculation — plus the
 :class:`FaultPlan` hook that makes every failure mode scriptable from
-tests.  The task bodies (:mod:`repro.dist.tasks`) are shared with the
-parallel backend's fork pool.  Nothing here imports
-:mod:`repro.backend`; the dependency points one way.
+tests.  The task bodies live in :mod:`repro.dist.tasks`.  Nothing
+here imports :mod:`repro.backend`; the dependency points one way.
 """
 
 from .coordinator import (

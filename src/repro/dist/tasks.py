@@ -1,10 +1,8 @@
-"""Map/Reduce task bodies shared by every sharded worker.
+"""Map/Reduce task bodies the socket workers run.
 
-Both transports of the sharded backend — the fork pool behind
-:class:`~repro.backend.parallel.ParallelBackend` and the socket
-workers of :mod:`repro.dist.worker` — run the same two functions on
-the same message shapes, so a shard's output never depends on how the
-task reached its worker:
+Every worker of :mod:`repro.dist.worker` runs the same two functions
+on the same message shapes, so a shard's output never depends on
+which worker, or which attempt, ran it:
 
 * :func:`run_map` takes ``{"shard", "pairs", ["spill"], ["attempt",
   "seq"]}`` and returns ``{"pairs": [...], "profile": {...}}``.  Under
@@ -20,11 +18,10 @@ The ``profile`` dict holds the fields of a
 :class:`~repro.obs.telemetry.ShardProfile` minus phase and shard.
 
 The job's spec reaches workers by fork inheritance: :func:`configure`
-runs in the parent just before the fork (or as a pool initializer), so
-user closures never cross a process boundary.  The optional
-``tick(phase)`` hook is called once per input record (Map) or value
-(Reduce) before it is processed; the socket worker threads its
-scripted faults through it.
+runs in the parent just before the fork, so user closures never cross
+a process boundary.  The optional ``tick(phase)`` hook is called once
+per input record (Map) or value (Reduce) before it is processed; the
+worker threads its scripted faults through it.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ process immediately before each fork, so arbitrary closures (test
 kernels included) never cross the wire; only shard payloads and
 results do.
 
-The task bodies are the ones the parallel backend's pool workers run
-(:mod:`repro.dist.tasks`).  This module adds only the socket loop and
-the :class:`~repro.dist.faults.WorkerFault` state, whose ``tick`` hook
-is threaded through the record loops so a scripted kill/drop/delay
+The task bodies live in :mod:`repro.dist.tasks`.  This module adds
+only the socket loop and the :class:`~repro.dist.faults.WorkerFault`
+state, whose ``tick`` hook is threaded through the record loops so a scripted kill/drop/delay
 trips at a deterministic record count.  A worker never retries or
 dedupes anything: it is deliberately dumb and mortal, per the
 MapReduce "workers assumed faulty" design — all recovery logic lives

@@ -74,7 +74,7 @@ class JobResult:
     check_report: object | None = None
     #: Per-shard :class:`~repro.obs.telemetry.ShardProfile` list when
     #: the job ran on a backend with cross-process workers (the
-    #: parallel backend's pool path), else None.
+    #: dist backend above its in-process fallback), else None.
     worker_profiles: list | None = None
     #: The :class:`~repro.obs.telemetry.WorkerSummary` straggler /
     #: imbalance summary derived from ``worker_profiles``, else None.

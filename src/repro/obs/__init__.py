@@ -17,7 +17,7 @@ and per-warp kernel events into one inspectable record:
 * the ``repro-trace`` CLI (:mod:`repro.obs.cli`) — run any workload
   under any mode/strategy and emit trace + profile + metrics files;
 * cross-process worker telemetry (:mod:`repro.obs.telemetry`) — the
-  parallel backend ships a per-shard phase profile back from each
+  dist backend ships a per-shard phase profile back from each
   worker; the merge surfaces per-worker tracks in the Chrome export
   and a straggler summary on :class:`~repro.framework.job.JobResult`;
 * the persistent run ledger (:mod:`repro.obs.ledger`) — every

@@ -164,7 +164,7 @@ def _run(args, workload: Workload, settings) -> int:
     if base in SHARDED_BACKENDS and settings.source("backend") == "flag":
         from ..backend import BACKENDS
 
-        # A --backend parallel/dist flag asks for a traced sharded run:
+        # A --backend dist flag asks for a traced sharded run:
         # min_records=0 makes it cross the process boundary, where the
         # in-process fallback would yield no worker telemetry.
         backend = BACKENDS[base](
@@ -172,7 +172,7 @@ def _run(args, workload: Workload, settings) -> int:
             min_records=0)
 
     blocks = _parse_blocks(args.blocks)
-    # The fast and parallel backends report zero kernel cycles, so the
+    # The functional backends report zero kernel cycles, so the
     # sim clock alone would render a flat timeline — capture wall
     # stamps alongside (the sim backend stays on its deterministic
     # single clock, keeping golden traces byte-identical).

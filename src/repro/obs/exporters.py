@@ -16,13 +16,13 @@ The timeline axis depends on the tracer's clock:
   wall-clock anywhere), so traces for a fixed seed are byte-stable
   across runs — the golden-trace suite's contract.
 * **dual clock** (``Tracer(wall_clock=True)``; what ``repro-trace``
-  uses for the fast and parallel backends, whose kernel cycles are
+  uses for the fast and dist backends, whose kernel cycles are
   zero by design): host ``ts``/``dur`` carry wall microseconds
   rebased to the tracer's origin, and each span's ``args`` keeps the
   sim-clock interval (``sim_ts``/``sim_dur``) for cross-reference.
 
 Worker tracks are always wall-based (that is the clock workers live
-on); they only exist for parallel runs, so sim traces never change.
+on); they only exist for dist runs, so sim traces never change.
 """
 
 from __future__ import annotations

@@ -229,7 +229,7 @@ def job_metrics_registry(
             reg.gauge(f"derived.{phase}.{name}").set(value)
         for cat, frac in breakdown.items():
             reg.gauge(f"derived.{phase}.stall_fraction.{cat}").set(frac)
-    # Cross-process worker telemetry (parallel backend only): shard
+    # Cross-process worker telemetry (dist backend only): shard
     # wall times as percentile-capable histograms plus the straggler
     # skew.  Wall-clock values vary run to run, so these keys only
     # exist where byte-stable metrics.json never did (sharded runs).

@@ -1,6 +1,6 @@
 """Cross-process worker telemetry: shard profiles and straggler math.
 
-The sharded backends' forked workers each record a lightweight
+The dist backend's forked workers each record a lightweight
 profile of the shard they executed — wall-clock bounds
 (``perf_counter_ns``; forked children share the parent's clock epoch,
 so stamps are directly comparable), record and emission counts, the

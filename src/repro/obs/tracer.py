@@ -13,13 +13,13 @@ The sim clock is the primary axis: traces are deterministic for a
 fixed seed and byte-stable across runs.  ``Tracer(wall_clock=True)``
 additionally stamps every span and instant with
 ``time.perf_counter_ns()`` — the *dual-clock* mode the fast and
-parallel backends use, whose kernel cycles are zero by design and
+dist backends use, whose kernel cycles are zero by design and
 whose real cost is wall time.  Wall stamps are strictly additive:
 with ``wall_clock=False`` (the default, what every sim run uses)
 nothing wall-clock-shaped is recorded and exported traces are
 byte-identical to the single-clock format.
 
-Cross-process worker activity (the parallel backend's per-shard phase
+Cross-process worker activity (the dist backend's per-shard phase
 profiles) lands as :class:`WorkerEvent` records via
 :meth:`Tracer.worker_span`; they are inherently wall-clock (forked
 children share the parent's ``perf_counter`` epoch on Linux, so their
@@ -90,7 +90,7 @@ class InstantEvent:
 
 @dataclass(frozen=True)
 class WorkerEvent:
-    """One wall-clock interval of work done by a pool worker.
+    """One wall-clock interval of work done by a worker process.
 
     ``worker`` is the stable track id (the shard index for sharded
     phases); ``start_ns``/``end_ns`` are absolute ``perf_counter_ns``
@@ -214,9 +214,9 @@ class Tracer:
 
     def worker_span(self, worker: int, name: str, start_ns: int,
                     end_ns: int, **attrs) -> None:
-        """Record one wall-clock interval of pool-worker activity.
+        """Record one wall-clock interval of worker-process activity.
 
-        Used by the parallel backend to merge per-shard phase profiles
+        Used by the dist backend to merge per-shard phase profiles
         shipped back from forked workers; each distinct ``worker`` id
         becomes its own track in the Chrome export.
         """

@@ -59,7 +59,7 @@ class SpillStore(IntermediateStore):
                  prefix: str = "run", own_dir: bool | None = None) -> None:
         """``budget`` is the tracked in-memory byte bound (default
         :data:`DEFAULT_BUDGET`).  ``spill_dir`` places run files in an
-        existing directory the caller owns (the parallel backend gives
+        existing directory the caller owns (the dist backend gives
         each job one shared dir); by default the store creates — and on
         :meth:`close` removes — its own temp dir, under ``root`` (the
         ``spill_dir`` setting; default the system temp dir).
@@ -273,7 +273,7 @@ def merge_runs(run_groups: list[list[str]]
 
     ``run_groups`` is a list of run-path lists, one per producer
     (shard), each list in chronological order — the coordinator-side
-    half of the parallel backend's per-shard spill.  Ordering matches
+    half of the dist backend's per-shard spill.  Ordering matches
     the non-spilled shuffle: producers merge in list order, so equal
     keys accumulate values shard-by-shard in emission order.  The
     caller owns (and cleans up) the files.

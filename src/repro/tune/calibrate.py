@@ -9,7 +9,7 @@ extra measurement:
 
 * :func:`load_calibration` reads the ledger and turns matching
   predicted-vs-actual pairs into bounded multiplicative corrections
-  per knob (``mode:G``, ``strategy:BR``, ``backend:parallel`` …) —
+  per knob (``mode:G``, ``strategy:BR``, ``backend:columnar`` …) —
   the geometric mean of actual/predicted ratios, clamped so one
   outlier line can never swing a decision by more than 2x;
 * :func:`lookup_history` answers the nearest-neighbour question: has

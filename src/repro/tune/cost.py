@@ -19,7 +19,7 @@ were fit by least squares over a measured sweep of the eight shipped
 workloads (``scripts/calibrate_tuner.py`` reproduces and prints them),
 and :mod:`repro.tune.calibrate` refines them at runtime from matching
 run-ledger records.  Wall-clock rates price the functional backends
-(fast / parallel:N / columnar) plus the spill-budget knob for the
+(fast / columnar) plus the spill-budget knob for the
 execution-level decision.
 """
 
@@ -44,10 +44,9 @@ class Candidate:
     mode: MemoryMode = MemoryMode.SIO
     strategy: ReduceStrategy | None = None
     threads_per_block: int = 128
-    #: Execution substrate ("sim", "fast", "parallel", "columnar") —
-    #: only the wall objective distinguishes these.
+    #: Execution substrate ("sim", "fast", "columnar") — only the
+    #: wall objective distinguishes these.
     backend: str = "sim"
-    workers: int | None = None
     store: str | None = None
     memory_budget: int | None = None
 
@@ -132,9 +131,6 @@ class CostConstants:
     columnar_reduce_discount: float = 0.2
     columnar_per_batch: float = 2.5e-4
     columnar_scalar_tax: float = 1.35
-    parallel_fixed: float = 0.035
-    parallel_per_worker: float = 0.012
-    parallel_ship_per_byte: float = 2.0e-8
     spill_per_byte: float = 1.2e-8
     #: Per-(knob) multiplicative corrections learned from the ledger
     #: ({"mode:G": 1.03, "backend:fast": 0.97, ...}); bounded by the
@@ -258,15 +254,13 @@ def estimate_wall(
     cand: Candidate,
     spec,
     *,
-    cpu_count: int = 1,
     constants: CostConstants | None = None,
 ) -> float:
     """Predicted wall seconds on a functional backend.
 
     Prices the fast scalar loop, the columnar discounts (only when the
     workload actually ships batch kernels *and* the input profile is
-    vectorizable), the parallel pool's fork+ship overheads against its
-    ideal speedup, and the spill store's per-byte write+merge charge
+    vectorizable), and the spill store's per-byte write+merge charge
     when the candidate budgets the shuffle.
     """
     c = constants or CostConstants()
@@ -295,13 +289,6 @@ def estimate_wall(
             reduce_s *= c.columnar_reduce_discount
         total = map_s + shuffle_s + reduce_s + c.columnar_per_batch * batches
         total *= c.corrected("backend:columnar")
-    elif cand.backend == "parallel":
-        workers = max(1, cand.workers or cpu_count)
-        speedup = float(min(workers, max(1, cpu_count)))
-        total = (map_s + reduce_s) / speedup + shuffle_s \
-            + c.parallel_fixed + c.parallel_per_worker * workers \
-            + c.parallel_ship_per_byte * inter_bytes
-        total *= c.corrected("backend:parallel")
     else:
         total = (map_s + shuffle_s + reduce_s) * c.corrected("backend:fast")
 

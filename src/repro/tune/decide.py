@@ -8,7 +8,7 @@ Two entry points, one per objective:
   This is what the execution core (:mod:`repro.backend.core`) applies,
   on every backend, when a plan says ``mode="auto"``.
 * :func:`decide_execution` — the **wall-clock** objective.  Also picks
-  the execution substrate (fast / parallel:N / columnar) and the spill
+  the execution substrate (fast / columnar) and the spill
   budget with :func:`repro.tune.cost.estimate_wall`.  This is what
   ``run_job(tune=True)`` / ``$REPRO_AUTOTUNE`` applies before a
   backend is even constructed.
@@ -25,7 +25,6 @@ span attributes and the run ledger.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from ..framework.modes import ALL_MODES, AUTO, MemoryMode, ReduceStrategy
@@ -46,9 +45,6 @@ TPB_CANDIDATES = (64, 128, 256)
 #: planned with the spillable store and this budget (overridable).
 DEFAULT_MEMORY_CEILING = 256 << 20
 
-#: Worker-pool sizes the wall objective explores.
-_POOL_SIZES = (2, 4, 8)
-
 
 @dataclass(frozen=True)
 class TunerDecision:
@@ -60,7 +56,6 @@ class TunerDecision:
     #: Execution substrate — ``None`` when only modes were decided
     #: (the cycles objective never moves a job off its backend).
     backend: str | None = None
-    workers: int | None = None
     store: str | None = None
     memory_budget: int | None = None
     #: Model output: predicted cost of the chosen candidate, in the
@@ -76,14 +71,11 @@ class TunerDecision:
 
     @property
     def choice(self) -> str:
-        """Compact label, e.g. ``SO/BR@128`` or ``G/TR@128 parallel:4``."""
+        """Compact label, e.g. ``SO/BR@128`` or ``G/TR@128 columnar``."""
         strat = self.strategy.value if self.strategy else "-"
         text = f"{self.mode.value}/{strat}@{self.threads_per_block}"
         if self.backend:
-            backend = self.backend
-            if self.workers:
-                backend += f":{self.workers}"
-            text += f" {backend}"
+            text += f" {self.backend}"
             if self.store == "spill":
                 text += "+spill"
         return text
@@ -203,7 +195,7 @@ def decide_modes(
     )
 
 
-def _execution_candidates(spec, stats, *, cpu_count, memory_ceiling):
+def _execution_candidates(spec, stats, *, memory_ceiling):
     store = None
     budget = None
     if stats.est_intermediate_bytes > memory_ceiling:
@@ -214,10 +206,6 @@ def _execution_candidates(spec, stats, *, cpu_count, memory_ceiling):
         or getattr(spec, "reduce_batch", None) is not None
     if batched:
         yield Candidate(backend="columnar", **base)
-    pools = sorted({w for w in (*_POOL_SIZES, cpu_count)
-                    if 1 < w <= max(cpu_count, 2)})
-    for workers in pools:
-        yield Candidate(backend="parallel", workers=workers, **base)
 
 
 def decide_execution(
@@ -225,7 +213,6 @@ def decide_execution(
     inp,
     *,
     strategy: ReduceStrategy | str | None = "auto",
-    cpu_count: int | None = None,
     memory_ceiling: int = DEFAULT_MEMORY_CEILING,
     calibration: CalibrationState | None = None,
     stats: InputStats | None = None,
@@ -246,13 +233,11 @@ def decide_execution(
     calibration = calibration if calibration is not None \
         else load_calibration()
     constants = calibration.constants()
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
     has_reduce = getattr(spec, "reduce_record", None) is not None \
         and strategy is not None
 
     candidates = list(_execution_candidates(
-        spec, stats, cpu_count=cpu_count, memory_ceiling=memory_ceiling))
+        spec, stats, memory_ceiling=memory_ceiling))
     # The wall objective needs a strategy to price Reduce: use TR as
     # the pricing baseline when the choice is open (strategy choice
     # itself belongs to the cycles objective below and does not move
@@ -262,9 +247,8 @@ def decide_execution(
     else:
         pricing = ReduceStrategy.TR if has_reduce else None
     priced = {
-        cand: estimate_wall(
-            stats, replace(cand, strategy=pricing), spec,
-            cpu_count=cpu_count, constants=constants)
+        cand: estimate_wall(stats, replace(cand, strategy=pricing), spec,
+                            constants=constants)
         for cand in candidates
     }
     pick = min(priced, key=priced.get)
@@ -283,7 +267,6 @@ def decide_execution(
         strategy=modes.strategy,
         threads_per_block=modes.threads_per_block,
         backend=pick.backend,
-        workers=pick.workers,
         store=pick.store,
         memory_budget=pick.memory_budget,
         predicted_cost=priced[pick],

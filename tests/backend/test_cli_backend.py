@@ -42,10 +42,12 @@ class TestTraceCli:
         assert _exit_code(e) == 2
 
     def test_unknown_backend_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            trace_main(["WC", "--backend", "cuda"])
-        assert _exit_code(e) == 2
-        assert "unknown backend" in capsys.readouterr().err
+        for name in ("cuda", "parallel"):
+            with pytest.raises(SystemExit) as e:
+                trace_main(["WC", "--backend", name])
+            assert _exit_code(e) == 2
+            assert ("unknown backend; known: columnar, dist, fast, sim"
+                    in capsys.readouterr().err)
 
     def test_bad_blocks_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -91,16 +93,18 @@ class TestTraceCli:
         assert "budget" in capsys.readouterr().err
 
     def test_bad_env_backend_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "parallel:0")
-        with pytest.raises(SystemExit) as e:
-            trace_main(["WC"])
-        assert _exit_code(e) == 2
-        assert "worker count" in capsys.readouterr().err
+        for value, reason in (("dist:0", "worker count"),
+                              ("parallel", "unknown backend")):
+            monkeypatch.setenv("REPRO_BACKEND", value)
+            with pytest.raises(SystemExit) as e:
+                trace_main(["WC"])
+            assert _exit_code(e) == 2
+            assert reason in capsys.readouterr().err
 
     def test_bad_env_workers_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "abc")
         with pytest.raises(SystemExit) as e:
-            trace_main(["WC", "--backend", "parallel"])
+            trace_main(["WC", "--backend", "dist"])
         assert _exit_code(e) == 2
         assert "REPRO_WORKERS" in capsys.readouterr().err
 
@@ -156,6 +160,6 @@ class TestBenchCli:
     def test_validate_bad_workers_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             bench_main(["validate", "--workload", "WC", "--backend",
-                        "parallel", "--workers", "0"])
+                        "dist", "--workers", "0"])
         assert _exit_code(e) == 2
         assert "workers" in capsys.readouterr().err

@@ -251,18 +251,18 @@ class TestJobShapes:
         assert col.output == scalar.output
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 1
 
-    def test_parallel_backend_stays_scalar(self, monkeypatch):
-        from repro.backend import ParallelBackend
+    def test_dist_backend_stays_scalar(self, monkeypatch):
+        from repro.backend import DistributedBackend
 
         monkeypatch.setenv(COLUMNAR_ENV, "1")
         wl = WordCount()
         inp = wl.generate("small", seed=5, scale=0.2)
-        par = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
-                      backend=ParallelBackend(workers=2, min_records=0))
+        dist = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
+                       backend=DistributedBackend(workers=2, min_records=0))
         scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
                          backend=FastBackend(columnar=False))
-        assert par.output == scalar.output
-        assert "columnar_batches" not in par.map_stats.extra
+        assert dist.output == scalar.output
+        assert "columnar_batches" not in dist.map_stats.extra
 
 
 class TestLedgerColumns:
@@ -293,17 +293,22 @@ class TestLedgerColumns:
 
 
 class TestWorkerCountValidation:
-    def test_parallel_n_rejects_bad_counts(self):
-        for bad in ("parallel:0", "parallel:-2", "parallel:two",
-                    "parallel:"):
+    def test_dist_n_rejects_bad_counts(self):
+        for bad in ("dist:0", "dist:-2", "dist:two", "dist:"):
             with pytest.raises(FrameworkError):
                 get_backend(bad)
-        assert get_backend("parallel:3").workers == 3
+        assert get_backend("dist:3").workers == 3
+        # The retired fork-pool backend, bare and with worker counts.
+        for retired in ("parallel", *(f"parallel:{n}" for n in (1, 2))):
+            with pytest.raises(FrameworkError,
+                               match="unknown backend; known: columnar, "
+                                     "dist, fast, sim"):
+                get_backend(retired)
 
     def test_workers_env_rejects_bad_values(self, monkeypatch):
         for bad in ("0", "-1", "abc", "1.5"):
             monkeypatch.setenv("REPRO_WORKERS", bad)
             with pytest.raises(FrameworkError):
-                get_backend("parallel")
+                get_backend("dist")
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert get_backend("parallel").workers == 4
+        assert get_backend("dist").workers == 4

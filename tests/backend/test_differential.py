@@ -1,39 +1,37 @@
-"""Cross-backend differential suite: fast vs sim vs parallel vs oracle.
+"""Cross-backend differential suite: fast vs sim vs dist vs oracle.
 
 For every workload x memory mode x reduce strategy, the fast
 functional backend must produce output record-identical to the
 cycle-accurate simulator and to the CPU reference oracle (normalised
 ordering — atomic appends legitimately permute records; float32
 tolerance where summation order differs, exactly as the conformance
-matrix does).  The sharded parallel backend must match the fast
-backend *exactly* — same records, same order — float BR folds
-included: workers ship plain pairs and fold each group in full.
+matrix does).
 
-A fourth executor rides along: the fast backend with the spill store
+A third executor rides along: the fast backend with the spill store
 forced down to a tiny budget, so every case's shuffle goes through
 sorted runs and the k-way merge.  Its contract is the strictest —
 byte-identical to the memory-store fast run, records *and* order.
 
-A fifth executor is the columnar fast backend
+A fourth executor is the columnar fast backend
 (``FastBackend(columnar=True)``): batched array Map/Shuffle/Reduce
 with each workload's ``map_batch``/``reduce_batch`` kernels and
 per-batch scalar fallback everywhere else.  Non-float workloads must
 be byte-identical to the scalar fast run (records *and* order); the
 float workloads (KM, SS, LR) match under the usual float32 tolerance.
 
-The seventh and eighth executors are the distributed backend
+The sixth and seventh executors are the distributed backend
 (``dist:2`` — coordinator + socket workers, GFS-style splits forced
 small so every case really schedules multiple tasks) and ``dist:2``
-with the spill store at the same tiny budget.  Dist runs the same
-sharded skeleton and task bodies as the parallel backend over a
-different transport, so its contract is the same: byte-identical to
-the fast backend for *every* workload, float BR folds included.
+with the spill store at the same tiny budget.  Workers ship plain
+pairs and fold each BR group in full, so dist must match the fast
+backend *exactly* — same records, same order — for every workload,
+float BR folds included.
 """
 
 import pytest
 
 from repro.analysis.validation import outputs_match
-from repro.backend import DistributedBackend, FastBackend, ParallelBackend
+from repro.backend import DistributedBackend, FastBackend
 from repro.cpu_ref import reference_job
 from repro.framework import MemoryMode, ReduceStrategy, run_job
 from repro.gpu import DeviceConfig
@@ -92,9 +90,6 @@ def test_fast_matches_sim_and_oracle(workload, mode, strategy):
                   threads_per_block=64)
     sim = run_job(spec, inp, backend="sim", **kwargs)
     fast = run_job(spec, inp, backend="fast", **kwargs)
-    par = run_job(spec, inp, backend=ParallelBackend(workers=2,
-                                                    min_records=0),
-                  **kwargs)
     ref = reference_job(spec, inp, strategy)
     fv = _float_vals(workload.code)
 
@@ -106,11 +101,6 @@ def test_fast_matches_sim_and_oracle(workload, mode, strategy):
     assert fast.strategy == sim.strategy
     assert fast.intermediate_count == sim.intermediate_count
     assert len(fast.output) == len(sim.output)
-
-    # Parallel: byte-identical to fast, float BR folds included.
-    assert par.output == fast.output
-    assert par.intermediate_count == fast.intermediate_count
-    assert par.mode == fast.mode and par.strategy == fast.strategy
 
     # Spill store under a tiny budget: same backend, different
     # intermediate policy — must be byte-identical, no tolerance.
@@ -160,8 +150,8 @@ def test_fast_matches_sim_and_oracle(workload, mode, strategy):
 
 class TestDegenerateInputs:
     """Backend parity on the inputs the fuzzer flagged as the risky
-    corners: empty input, one hot key, zero-output map.  The parallel
-    backend runs with the tiny-input fallback disabled so the pool
+    corners: empty input, one hot key, zero-output map.  The dist
+    backend runs with the tiny-input fallback disabled so the cluster
     path itself faces the degenerate shapes."""
 
     def _spec(self, map_fn, reduce_fn=None):
@@ -175,18 +165,9 @@ class TestDegenerateInputs:
                       threads_per_block=64)
         sim = run_job(spec, inp, backend="sim", check=True, **kwargs)
         fast = run_job(spec, inp, backend="fast", **kwargs)
-        par = run_job(spec, inp,
-                      backend=ParallelBackend(workers=4, min_records=0),
-                      **kwargs)
-        assert par.output == fast.output
         spill = run_job(spec, inp, backend="fast", store="spill",
                         memory_budget=64, **kwargs)
         assert spill.output == fast.output
-        par_spill = run_job(spec, inp,
-                            backend=ParallelBackend(workers=4,
-                                                    min_records=0),
-                            store="spill", memory_budget=64, **kwargs)
-        assert par_spill.output == fast.output
         col = run_job(spec, inp, backend=FastBackend(columnar=True),
                       **kwargs)
         assert col.output == fast.output

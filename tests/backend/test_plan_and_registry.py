@@ -66,13 +66,11 @@ class TestJobPlanNormalise:
 
 class TestRegistry:
     def test_known_backends(self):
-        from repro.backend import DistributedBackend, ParallelBackend
+        from repro.backend import DistributedBackend
 
-        assert set(BACKENDS) == {"sim", "fast", "parallel", "columnar",
-                                 "dist"}
+        assert set(BACKENDS) == {"sim", "fast", "columnar", "dist"}
         assert isinstance(get_backend("sim"), SimBackend)
         assert isinstance(get_backend("fast"), FastBackend)
-        assert isinstance(get_backend("parallel"), ParallelBackend)
         assert isinstance(get_backend("dist"), DistributedBackend)
         assert get_backend("columnar").columnar is True
 

@@ -1,5 +1,5 @@
 """The differential fuzzer as a test: sim (sanitized) vs fast vs
-parallel vs oracle."""
+dist vs oracle."""
 
 import pytest
 

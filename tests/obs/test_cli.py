@@ -7,8 +7,8 @@ import pytest
 from repro.obs.cli import main, resolve_workload
 from repro.workloads import KMeans, WordCount
 
-# backend pinned: byte-stable traces are the sim's contract — dist/
-# parallel worker spans carry wall-clock stamps and pids.
+# backend pinned: byte-stable traces are the sim's contract — dist
+# worker spans carry wall-clock stamps and pids.
 ARGS = ["wordcount", "--mode", "SIO", "--strategy", "TR",
         "--size", "small", "--mps", "1", "--quiet", "--backend", "sim"]
 

@@ -9,7 +9,7 @@ and the summary.
 
 import json
 
-from repro.backend import ParallelBackend
+from repro.backend import DistributedBackend
 from repro.framework import MemoryMode, ReduceStrategy
 from repro.framework.job import run_job
 from repro.gpu import DeviceConfig
@@ -33,7 +33,7 @@ TRACKS = max(TASKS.values())
 def _parallel_run(tracer=None):
     wc = WordCount()
     inp = wc.generate("small", seed=0)
-    backend = ParallelBackend(workers=WORKERS, min_records=0)
+    backend = DistributedBackend(workers=WORKERS, min_records=0)
     # Pin the memory store: these tests assert its reduce sharding
     # shape (two contiguous key ranges per worker), which the spill
     # store's chunk-streamed reduce legitimately changes — and the

@@ -16,7 +16,7 @@ inputs rather than the workloads' well-behaved ones:
   the helper-warp reservation in output-staging modes;
 * the pure prefix-sum used by result collection is an exclusive scan
   over arbitrary warp-sized inputs;
-* the parallel backend's shard splitter covers ``[0, n)`` with
+* the dist backend's reduce-range splitter covers ``[0, n)`` with
   contiguous, balanced, non-empty ranges;
 * the columnar shuffle's ``sort_and_group`` (hash grouping for ragged
   keys) yields exactly the stable byte-order sort of the records and
@@ -234,7 +234,7 @@ def test_exclusive_scan(values):
 
 
 # ----------------------------------------------------------------------
-# Shard splitting (parallel backend)
+# Shard splitting (dist backend's reduce ranges)
 # ----------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.backend import ParallelBackend
+from repro.backend import DistributedBackend
 from repro.framework import ReduceStrategy, run_job
 from repro.framework.api import MapReduceSpec
 from repro.framework.records import KeyValueSet
@@ -25,8 +25,8 @@ WORKLOADS = {"wordcount": WordCount, "kmeans": KMeans}
 
 
 def _backend(name):
-    if name == "parallel":
-        return ParallelBackend(workers=2, min_records=0)
+    if name == "dist":
+        return DistributedBackend(workers=2, min_records=0)
     return name
 
 
@@ -38,7 +38,7 @@ def _run(workload_cls, backend, **kwargs):
                    backend=_backend(backend), **kwargs)
 
 
-@pytest.mark.parametrize("backend", ["fast", "parallel"])
+@pytest.mark.parametrize("backend", ["fast", "dist"])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_tiny_budget_spill_is_byte_identical(workload, backend):
     cls = WORKLOADS[workload]
@@ -50,7 +50,7 @@ def test_tiny_budget_spill_is_byte_identical(workload, backend):
     working_set = probe.reduce_stats.extra["store_peak_bytes"]
     assert working_set > 0
     if backend == "fast":
-        # Everything fits: nothing spills.  (The parallel backend's
+        # Everything fits: nothing spills.  (The dist backend's
         # workers always flush their tail to one run file apiece —
         # only paths cross the process boundary — so its run count
         # never reaches zero; the peak still measures the set.)
@@ -62,7 +62,7 @@ def test_tiny_budget_spill_is_byte_identical(workload, backend):
     budget = max(64, working_set // 10)
     spilled = _run(cls, backend, store="spill", memory_budget=budget)
     extra = spilled.reduce_stats.extra
-    floor = 2 if backend == "parallel" else 0  # the mandatory flushes
+    floor = 2 if backend == "dist" else 0  # the mandatory flushes
     assert extra["spill_runs"] > floor
     assert extra["spilled_bytes"] > 0
     assert extra["store_peak_bytes"] <= budget
@@ -107,7 +107,7 @@ def test_ledger_records_spill_accounting(monkeypatch):
     assert rec["spill_runs"] is None
 
 
-@pytest.mark.parametrize("backend", ["fast", "parallel"])
+@pytest.mark.parametrize("backend", ["fast", "dist"])
 def test_trace_spans_carry_spill_attrs(backend):
     tracer = Tracer(wall_clock=True)
     _run(WordCount, backend, store="spill", memory_budget=4096,
@@ -157,13 +157,13 @@ class TestErrorCleanup:
                     backend="fast", store="spill", memory_budget=64)
         assert _spill_dirs(tmp_path) == []
 
-    def test_parallel_worker_error_leaves_no_runs(self, tmp_path,
-                                                  monkeypatch):
+    def test_dist_worker_error_leaves_no_runs(self, tmp_path,
+                                              monkeypatch):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
         spec = MapReduceSpec(name="boom", map_record=_map_boom,
                              reduce_record=_reduce_boom)
         with pytest.raises(Exception):
             run_job(spec, _tiny_input(), strategy=ReduceStrategy.TR,
-                    backend=ParallelBackend(workers=2, min_records=0),
+                    backend=DistributedBackend(workers=2, min_records=0),
                     store="spill", memory_budget=64)
         assert _spill_dirs(tmp_path) == []

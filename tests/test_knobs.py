@@ -197,6 +197,12 @@ def test_budget_flag_needs_the_spill_store(monkeypatch, capsys):
     assert "spill" in _trace(["--memory-budget", "64k"], capsys)
 
 
+def test_workers_flag_needs_the_dist_backend(monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    assert ("--workers needs the dist backend"
+            in _trace(["--backend", "fast", "--workers", "2"], capsys))
+
+
 # ----------------------------------------------------------------------
 # Sources
 # ----------------------------------------------------------------------

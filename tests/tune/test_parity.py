@@ -16,7 +16,7 @@ from repro.workloads import KMeans, WordCount
 
 CFG = DeviceConfig.small(2)
 
-BACKENDS = ["sim", "fast", "parallel:2", "columnar"]
+BACKENDS = ["sim", "fast", "dist:2", "columnar"]
 
 
 def _sorted(kvs):
