@@ -19,7 +19,8 @@ Design constraints:
 * **Append-only and concurrency-safe.**  Each record is one JSON line
   written with a single ``O_APPEND`` ``write`` syscall, so two
   parallel jobs interleave whole lines, never bytes
-  (:func:`read_ledger` additionally skips any malformed line).
+  (:func:`read_ledger` additionally skips any malformed line, and
+  leaves a last line without its newline for a later read).
 * **Opt-out via env.**  ``REPRO_LEDGER=0`` (or ``off``/``false``/
   ``no``) disables recording; ``REPRO_LEDGER_DIR`` points the ledger
   at a different directory (tests and benchmarks use this to keep
@@ -151,7 +152,9 @@ def build_record(plan, inp, backend, result, *, wall_s: float,
         "workers": getattr(backend, "workers", None),
         "streamed": streamed,
         "records_in": len(inp),
-        "input_digest": digest_input(inp),
+        # A tuned plan's decision already digested this same input.
+        "input_digest": (getattr(decision, "input_digest", None)
+                         or digest_input(inp)),
         "output_records": len(result.output),
         "intermediate_records": result.intermediate_count,
         "sim_cycles": result.timings.total,
@@ -249,30 +252,44 @@ def record_run(plan, inp, backend, result, *, wall_s: float,
 # ----------------------------------------------------------------------
 
 
-def read_ledger(path: str | None = None) -> list[dict]:
-    """All parseable records, in file (= append) order.
+def parse_line(line: bytes) -> dict | None:
+    """The record on one ledger line, or None when it holds none."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) else None
 
-    Malformed lines — a torn write from a crashed process, say — are
-    skipped rather than fatal; an absent file reads as empty.
+
+def decode_lines(data: bytes) -> tuple[list[dict], int]:
+    """The records on the complete lines of ``data``, and how many
+    bytes those lines span.
+
+    Bytes after the last newline are a line still being written
+    (:func:`append_record` always ends a line with one) and are left
+    for a later read.  Blank and malformed lines — a torn write from a
+    crashed process, say — are skipped rather than fatal.
     """
+    end = data.rfind(b"\n") + 1
+    records = []
+    for line in data[:end].splitlines():
+        rec = parse_line(line)
+        if rec is not None:
+            records.append(rec)
+    return records, end
+
+
+def read_ledger(path: str | None = None) -> list[dict]:
+    """All parseable records on complete lines, in file (= append)
+    order; an absent file reads as empty (see :func:`decode_lines`)."""
     if path is None:
         path = ledger_path()
-    records: list[dict] = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(doc, dict):
-                    records.append(doc)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError:
         return []
-    return records
+    return decode_lines(data)[0]
 
 
 def group_runs(records: Iterable[dict]) -> dict[tuple[str, str], list[dict]]:

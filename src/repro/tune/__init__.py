@@ -15,8 +15,9 @@ picked by hand.  This package picks them from input statistics:
   candidate configuration with the paper's shared-vs-global
   access-cost structure plus per-knob calibration constants;
 * :mod:`repro.tune.calibrate` — refines those constants from matching
-  ``.repro/runs.jsonl`` ledger records and answers nearest-neighbour
-  history lookups for inputs the ledger has already seen;
+  ``.repro/runs.jsonl`` ledger records, read incrementally, and
+  indexes the fastest measured configuration of every input the
+  ledger has already seen;
 * :mod:`repro.tune.decide` — the decision layer: profile, consult
   history, price candidates, return a :class:`TunerDecision` that the
   execution core applies for ``mode="auto"`` and the drivers'
@@ -28,7 +29,7 @@ picked by hand.  This package picks them from input statistics:
 
 from __future__ import annotations
 
-from .calibrate import CalibrationState, load_calibration, lookup_history
+from .calibrate import CalibrationState, load_calibration
 from .cost import Candidate, CostConstants, estimate_cycles
 from .decide import (
     TunerDecision,
@@ -47,6 +48,5 @@ __all__ = [
     "decide_modes",
     "estimate_cycles",
     "load_calibration",
-    "lookup_history",
     "profile_input",
 ]

@@ -5,18 +5,27 @@ device configuration and one workload sweep; real runs drift.  Every
 tuned run records its predicted cost next to the measured one
 (``tuner_predicted_cost`` / ``sim_cycles`` / ``wall_s`` in
 ``.repro/runs.jsonl``), so this module can close the loop without any
-extra measurement:
+extra measurement.  :func:`load_calibration` returns a
+:class:`CalibrationState` holding two things:
 
-* :func:`load_calibration` reads the ledger and turns matching
-  predicted-vs-actual pairs into bounded multiplicative corrections
-  per knob (``mode:G``, ``strategy:BR``, ``backend:columnar`` …) —
-  the geometric mean of actual/predicted ratios, clamped so one
-  outlier line can never swing a decision by more than 2x;
-* :func:`lookup_history` answers the nearest-neighbour question: has
-  this exact input (same workload + input digest — or failing that,
-  the same workload at a similar size) been run before, and which
-  configuration measured fastest?  When the ledger has already swept
-  an input, remembering beats modelling.
+* bounded multiplicative **corrections** per knob (``mode:G``,
+  ``strategy:BR``, ``backend:columnar`` …) — the geometric mean of
+  actual/predicted ratios, clamped so one outlier line can never
+  swing a decision by more than 2x.  Only a running
+  ``(Σ log ratio, count)`` per knob is kept;
+* a **history** index, ``(workload, input digest) -> {config key:
+  (cost, record)}``: the fastest measured run of each configuration
+  on each exact input (the newest wins at equal cost).  When the
+  ledger has already swept an input, remembering beats modelling.
+
+Every job appends a ledger line, so the ledger is read incrementally:
+one reader per process remembers the byte offset it has consumed and
+decodes only the complete lines appended since, folding each into the
+sums and the index.  A decision therefore costs O(new lines), not
+O(ledger).  The reader starts again from offset 0 when the file
+shrinks, is replaced (its ``(st_dev, st_ino)`` changes) or goes
+missing.  A returned state is a snapshot: later appends never change
+it.
 
 Everything here is read-only and failure-tolerant: a missing or
 corrupt ledger degrades to factory constants, never an error.
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 from ..obs import ledger as ledger_mod
@@ -39,10 +49,6 @@ CORRECTION_MAX = 2.0
 #: Minimum matching ledger lines before a knob gets corrected at all.
 MIN_SAMPLES = 2
 
-#: "Similar size" for the nearest-neighbour fallback: record counts
-#: within this factor of each other.
-NEIGHBOUR_SIZE_FACTOR = 2.0
-
 
 @dataclass(frozen=True)
 class CalibrationState:
@@ -50,14 +56,25 @@ class CalibrationState:
 
     #: Knob key -> bounded multiplicative correction (1.0 = factory).
     corrections: dict = field(default_factory=dict)
-    #: All parseable ledger records (newest last), for history lookups.
-    records: list = field(default_factory=list)
     #: How many predicted-vs-actual pairs informed the corrections.
     samples: int = 0
+    #: (workload, input digest) -> {config key: (cost, record)}, the
+    #: fastest measured record per configuration of that exact input.
+    history: dict = field(default_factory=dict)
+    #: Parseable ledger lines folded into this state.
+    lines: int = 0
 
     def constants(self, base: CostConstants | None = None) -> CostConstants:
         """Factory (or given) constants with these corrections applied."""
         return (base or CostConstants()).with_corrections(self.corrections)
+
+    @classmethod
+    def from_records(cls, records) -> "CalibrationState":
+        """The state a ledger holding exactly ``records`` calibrates to."""
+        fold = _Fold()
+        for rec in records:
+            fold.add(rec)
+        return fold.snapshot()
 
 
 def _actual_cost(rec: dict) -> float | None:
@@ -90,8 +107,8 @@ def _knob_keys(rec: dict) -> list[str]:
     return keys
 
 
-def compute_corrections(records: list[dict]) -> tuple[dict, int]:
-    """(corrections, sample count) from predicted-vs-actual pairs.
+def _error_ratio(rec: dict) -> float | None:
+    """actual/predicted of a tuned record, or None.
 
     Only tuned records carry ``tuner_error`` (and only when the
     prediction's objective matched the unit the run measured — the
@@ -99,73 +116,18 @@ def compute_corrections(records: list[dict]) -> tuple[dict, int]:
     contribute nothing — the reader is version-tolerant by ignoring
     what a line does not have.
     """
-    votes: dict[str, list[float]] = {}
-    samples = 0
-    for rec in records:
-        if not isinstance(rec, dict) or not rec.get("tuned"):
-            continue
-        predicted = rec.get("tuner_predicted_cost")
-        if not isinstance(predicted, (int, float)) or predicted <= 0:
-            continue
-        error = rec.get("tuner_error")
-        if not isinstance(error, (int, float)):
-            continue
-        ratio = 1.0 + float(error)
-        if not math.isfinite(ratio) or ratio <= 0:
-            continue
-        samples += 1
-        for key in _knob_keys(rec):
-            votes.setdefault(key, []).append(ratio)
-    corrections = {}
-    for key, ratios in votes.items():
-        if len(ratios) < MIN_SAMPLES:
-            continue
-        log_mean = sum(math.log(r) for r in ratios) / len(ratios)
-        corrections[key] = min(
-            CORRECTION_MAX, max(CORRECTION_MIN, math.exp(log_mean))
-        )
-    return corrections, samples
-
-
-#: Parsed-ledger cache: resolved path -> ((mtime, size), CalibrationState).
-#: Every job would otherwise re-read and re-parse the whole ledger to
-#: make its tuning decision — on a tiny input that parse dominates the
-#: job itself (the <5% overhead guard in tests/tune pins this).
-_CACHE: dict[str, tuple[tuple, CalibrationState]] = {}
-
-
-def _ledger_stamp(path: str) -> tuple:
-    try:
-        st = os.stat(path)
-    except OSError:
-        return (0.0, -1)
-    return (st.st_mtime_ns, st.st_size)
-
-
-def load_calibration(path: str | None = None) -> CalibrationState:
-    """Read the ledger (honouring the env) into a CalibrationState.
-
-    Cached on the file's (mtime, size): repeated decisions against an
-    unchanged ledger — every job in a sweep — parse it once.
-    """
-    resolved = path if path is not None else ledger_mod.ledger_path()
-    stamp = _ledger_stamp(resolved)
-    cached = _CACHE.get(resolved)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    records = ledger_mod.read_ledger(resolved)
-    corrections, samples = compute_corrections(records)
-    state = CalibrationState(
-        corrections=corrections, records=records, samples=samples
-    )
-    _CACHE.clear()  # one entry is enough; never grow unboundedly
-    _CACHE[resolved] = (stamp, state)
-    return state
-
-
-# ----------------------------------------------------------------------
-# Nearest-neighbour history
-# ----------------------------------------------------------------------
+    if not rec.get("tuned"):
+        return None
+    predicted = rec.get("tuner_predicted_cost")
+    if not isinstance(predicted, (int, float)) or predicted <= 0:
+        return None
+    error = rec.get("tuner_error")
+    if not isinstance(error, (int, float)):
+        return None
+    ratio = 1.0 + float(error)
+    if not math.isfinite(ratio) or ratio <= 0:
+        return None
+    return ratio
 
 
 def _config_key(rec: dict) -> tuple:
@@ -177,62 +139,108 @@ def _config_key(rec: dict) -> tuple:
     )
 
 
-def lookup_history(
-    records: list[dict],
-    workload: str,
-    input_digest: str,
-    *,
-    records_in: int | None = None,
-) -> dict | None:
-    """Fastest previously measured record for this input, if any.
+class _Fold:
+    """Running calibration sums and history index over ledger records.
 
-    Exact matches (same workload **and** input digest) win; when none
-    exist, any run of the same workload within
-    :data:`NEIGHBOUR_SIZE_FACTOR` of the record count stands in.
-    Within the chosen tier, distinct configurations compete on their
-    best measured cost and the winner's record is returned (newest
-    first on ties).  ``None`` when the ledger has nothing relevant.
+    Inner history dicts are replaced, never mutated, so a snapshot only
+    needs a shallow copy of the outer index to stay unchanged.
     """
-    exact: list[dict] = []
-    near: list[dict] = []
-    for rec in records:
-        if not isinstance(rec, dict) or rec.get("workload") != workload:
-            continue
-        if _actual_cost(rec) is None:
-            continue
-        if rec.get("input_digest") == input_digest:
-            exact.append(rec)
-        elif records_in:
-            n = rec.get("records_in")
-            if isinstance(n, (int, float)) and n > 0:
-                factor = max(n, records_in) / max(1, min(n, records_in))
-                if factor <= NEIGHBOUR_SIZE_FACTOR:
-                    near.append(rec)
-    pool = exact or near
-    if not pool:
-        return None
-    best: dict[tuple, dict] = {}
-    for rec in pool:
-        key = _config_key(rec)
+
+    def __init__(self) -> None:
+        #: Knob key -> [Σ log(actual/predicted), count].
+        self.log_sums: dict[str, list] = {}
+        self.samples = 0
+        self.history: dict[tuple, dict] = {}
+        self.lines = 0
+
+    def add(self, rec: dict) -> None:
+        self.lines += 1
+        ratio = _error_ratio(rec)
+        if ratio is not None:
+            self.samples += 1
+            log_ratio = math.log(ratio)
+            for key in _knob_keys(rec):
+                acc = self.log_sums.setdefault(key, [0.0, 0])
+                acc[0] += log_ratio
+                acc[1] += 1
         cost = _actual_cost(rec)
-        prev = best.get(key)
-        if prev is None or cost <= _actual_cost(prev):
-            best[key] = rec
-    return min(best.values(), key=_actual_cost)
+        if cost is None:
+            return
+        where = (rec.get("workload"), rec.get("input_digest"))
+        key = _config_key(rec)
+        try:
+            configs = self.history.get(where, {})
+            prev = configs.get(key)
+        except TypeError:  # a list or object where a name belongs
+            return
+        if prev is None or cost <= prev[0]:
+            self.history[where] = {**configs, key: (cost, rec)}
+
+    def snapshot(self) -> CalibrationState:
+        corrections = {
+            key: min(CORRECTION_MAX, max(CORRECTION_MIN, math.exp(s / n)))
+            for key, (s, n) in self.log_sums.items()
+            if n >= MIN_SAMPLES
+        }
+        return CalibrationState(
+            corrections=corrections, samples=self.samples,
+            history=dict(self.history), lines=self.lines,
+        )
 
 
-def distinct_configs(records: list[dict], workload: str,
-                     input_digest: str) -> int:
-    """How many distinct configurations the ledger measured for this
-    exact input — the decision layer trusts history over the model
-    only when the input was actually swept (>= 2 configs)."""
-    seen = set()
-    for rec in records:
-        if not isinstance(rec, dict) or rec.get("workload") != workload:
-            continue
-        if rec.get("input_digest") != input_digest:
-            continue
-        if _actual_cost(rec) is None:
-            continue
-        seen.add(_config_key(rec))
-    return len(seen)
+class _LedgerReader:
+    """Incremental :class:`CalibrationState` of one ledger file."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._lock = threading.Lock()
+        self._reset(None)
+
+    def _reset(self, ident) -> None:
+        self.ident = ident
+        self.offset = 0
+        self.fold = _Fold()
+        self.state = CalibrationState()
+
+    def refresh(self) -> CalibrationState:
+        with self._lock:
+            try:
+                with open(self.path, "rb") as fh:
+                    st = os.fstat(fh.fileno())
+                    ident = (st.st_dev, st.st_ino)
+                    if ident != self.ident or st.st_size < self.offset:
+                        self._reset(ident)
+                    if st.st_size == self.offset:
+                        return self.state
+                    fh.seek(self.offset)
+                    data = fh.read()
+            except OSError:
+                if self.ident is not None:
+                    self._reset(None)
+                return self.state
+            records, used = ledger_mod.decode_lines(data)
+            self.offset += used
+            if records:
+                for rec in records:
+                    self.fold.add(rec)
+                self.state = self.fold.snapshot()
+            return self.state
+
+
+#: The reader of the ledger last asked for — one entry is enough, and
+#: never grows unboundedly.
+_READER: _LedgerReader | None = None
+
+
+def load_calibration(path: str | None = None) -> CalibrationState:
+    """The ledger's (honouring the env) current CalibrationState.
+
+    Repeated calls against an unchanged ledger return the same object;
+    after appends, only the new lines are decoded.
+    """
+    global _READER
+    resolved = path if path is not None else ledger_mod.ledger_path()
+    reader = _READER
+    if reader is None or reader.path != resolved:
+        reader = _READER = _LedgerReader(resolved)
+    return reader.refresh()

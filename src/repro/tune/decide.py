@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 
 from ..framework.modes import ALL_MODES, AUTO, MemoryMode, ReduceStrategy
 from ..obs.ledger import digest_input
-from .calibrate import CalibrationState, distinct_configs, load_calibration, \
-    lookup_history
+from .calibrate import CalibrationState, load_calibration
 from .cost import Candidate, estimate_cycles, estimate_wall
 from .profiler import InputStats, profile_input
 
@@ -68,6 +67,9 @@ class TunerDecision:
     #: How many candidates were priced.
     considered: int = 0
     stats: InputStats | None = None
+    #: :func:`~repro.obs.ledger.digest_input` of the decided input —
+    #: the ledger records it rather than hashing the input again.
+    input_digest: str | None = None
 
     @property
     def choice(self) -> str:
@@ -123,17 +125,13 @@ def _mode_candidates(spec, *, strategy, threads_per_block):
                                 threads_per_block=tpb)
 
 
-def _history_candidate(calibration, spec, inp, candidates):
+def _history_candidate(calibration, spec, digest, candidates):
     """The ledger's measured winner, if this exact input was swept and
     the winning configuration is one we are allowed to pick."""
-    digest = digest_input(inp)
-    if distinct_configs(calibration.records, spec.name, digest) \
-            < HISTORY_MIN_CONFIGS:
+    configs = calibration.history.get((spec.name, digest), {})
+    if len(configs) < HISTORY_MIN_CONFIGS:
         return None
-    rec = lookup_history(calibration.records, spec.name, digest,
-                         records_in=len(inp))
-    if rec is None:
-        return None
+    _, rec = min(configs.values(), key=lambda entry: entry[0])
     for cand in candidates:
         if cand.mode.value != rec.get("mode"):
             continue
@@ -160,15 +158,18 @@ def decide_modes(
     threads_per_block: int | None = None,
     calibration: CalibrationState | None = None,
     stats: InputStats | None = None,
+    digest: str | None = None,
 ) -> TunerDecision:
     """Pick (mode, strategy, block size) by predicted simulated cycles.
 
     ``strategy="auto"`` (the default) explores TR vs BR; ``None`` pins
     a map-only job; a :class:`ReduceStrategy` pins itself.  A concrete
     ``threads_per_block`` pins the block size, ``None`` explores
-    :data:`TPB_CANDIDATES`.
+    :data:`TPB_CANDIDATES`.  ``digest`` is ``digest_input(inp)`` when
+    the caller already has it.
     """
-    stats = stats or profile_input(spec, inp)
+    digest = digest or digest_input(inp)
+    stats = stats or profile_input(spec, inp, digest=digest)
     calibration = calibration if calibration is not None \
         else load_calibration()
     constants = calibration.constants()
@@ -180,7 +181,7 @@ def decide_modes(
     }
     pick = min(priced, key=priced.get)
     source = "model"
-    hist = _history_candidate(calibration, spec, inp, candidates)
+    hist = _history_candidate(calibration, spec, digest, candidates)
     if hist is not None and hist is not pick:
         pick, source = hist, "history"
     return TunerDecision(
@@ -192,6 +193,7 @@ def decide_modes(
         source=source,
         considered=len(candidates),
         stats=stats,
+        input_digest=digest,
     )
 
 
@@ -229,7 +231,8 @@ def decide_execution(
     the backend is constructed — the one place backend choice can
     still change.
     """
-    stats = stats or profile_input(spec, inp)
+    digest = digest_input(inp)
+    stats = stats or profile_input(spec, inp, digest=digest)
     calibration = calibration if calibration is not None \
         else load_calibration()
     constants = calibration.constants()
@@ -253,7 +256,7 @@ def decide_execution(
     }
     pick = min(priced, key=priced.get)
     source = "model"
-    hist = _history_candidate(calibration, spec, inp, candidates)
+    hist = _history_candidate(calibration, spec, digest, candidates)
     if hist is not None and hist is not pick:
         pick, source = hist, "history"
 
@@ -261,7 +264,8 @@ def decide_execution(
         from ..gpu.config import DeviceConfig
         config = DeviceConfig.small(4)
     modes = decide_modes(spec, inp, config=config, strategy=strategy,
-                         calibration=calibration, stats=stats)
+                         calibration=calibration, stats=stats,
+                         digest=digest)
     return TunerDecision(
         mode=modes.mode,
         strategy=modes.strategy,
@@ -274,4 +278,5 @@ def decide_execution(
         source=source,
         considered=len(candidates) + modes.considered,
         stats=stats,
+        input_digest=digest,
     )

@@ -10,9 +10,8 @@ from repro.tune.calibrate import (
     CORRECTION_MAX,
     CORRECTION_MIN,
     MIN_SAMPLES,
-    compute_corrections,
+    CalibrationState,
     load_calibration,
-    lookup_history,
 )
 from repro.tune.synthetic import synthetic_case
 
@@ -25,10 +24,15 @@ def _tuned_rec(error, **kw):
     return rec
 
 
+def _corrections(records):
+    state = CalibrationState.from_records(records)
+    return state.corrections, state.samples
+
+
 class TestCorrections:
     def test_geometric_mean_of_error_ratios(self):
         recs = [_tuned_rec(0.25), _tuned_rec(0.25)]
-        corrections, samples = compute_corrections(recs)
+        corrections, samples = _corrections(recs)
         assert samples == 2
         assert abs(corrections["mode:G"] - 1.25) < 1e-9
         assert abs(corrections["strategy:TR"] - 1.25) < 1e-9
@@ -36,14 +40,14 @@ class TestCorrections:
 
     def test_clamped_to_band(self):
         recs = [_tuned_rec(99.0)] * 3
-        corrections, _ = compute_corrections(recs)
+        corrections, _ = _corrections(recs)
         assert corrections["mode:G"] == CORRECTION_MAX
         recs = [_tuned_rec(-0.99)] * 3
-        corrections, _ = compute_corrections(recs)
+        corrections, _ = _corrections(recs)
         assert corrections["mode:G"] == CORRECTION_MIN
 
     def test_min_samples(self):
-        corrections, samples = compute_corrections(
+        corrections, samples = _corrections(
             [_tuned_rec(0.5)] * (MIN_SAMPLES - 1))
         assert corrections == {}
         assert samples == MIN_SAMPLES - 1
@@ -54,7 +58,7 @@ class TestCorrections:
             _tuned_rec(None),                               # no error
             {"schema": 1, "mode": "SIO", "backend": "sim"}, # pre-tuner
         ]
-        corrections, samples = compute_corrections(recs)
+        corrections, samples = _corrections(recs)
         assert corrections == {} and samples == 0
 
 
@@ -100,7 +104,7 @@ class TestLedgerSchema:
         records = read_ledger()
         assert len(records) == 2  # malformed line skipped, both schemas in
         state = load_calibration()
-        assert len(state.records) == 2
+        assert state.lines == 2
         assert state.samples <= 1  # only the tuned line can contribute
 
     def test_unmatched_units_leave_error_null(self):
@@ -126,11 +130,11 @@ class TestCalibrationCache:
                 config=DeviceConfig.small(2))
         second = load_calibration()
         assert second is not first
-        assert len(second.records) == len(first.records) + 1
+        assert second.lines == first.lines + 1
 
     def test_missing_ledger_degrades_to_factory(self, tmp_path):
         state = load_calibration(str(tmp_path / "nope.jsonl"))
-        assert state.records == []
+        assert state.lines == 0
         assert state.corrections == {}
 
 
@@ -144,11 +148,15 @@ class TestHistoryLookup:
             dict(self.BASE, input_digest="bbb", records_in=100,
                  sim_cycles=1.0, mode="SI"),
         ]
-        hit = lookup_history(recs, "wc", "aaa", records_in=100)
-        assert hit["mode"] == "SO"  # exact match wins despite higher cost
+        history = CalibrationState.from_records(recs).history
+        ((_, hit),) = history[("wc", "aaa")].values()
+        assert hit["mode"] == "SO"  # exact match only, despite higher cost
 
-    def test_neighbour_within_size_factor(self):
-        recs = [dict(self.BASE, input_digest="bbb", records_in=150,
-                     sim_cycles=5.0, mode="SI")]
-        assert lookup_history(recs, "wc", "zzz", records_in=100)
-        assert lookup_history(recs, "wc", "zzz", records_in=10) is None
+    def test_newest_wins_at_equal_cost(self):
+        recs = [dict(self.BASE, input_digest="aaa", sim_cycles=5.0,
+                     mode="SO", n=n) for n in range(3)]
+        recs.append(dict(self.BASE, input_digest="aaa", sim_cycles=9.0,
+                         mode="SO", n=3))
+        history = CalibrationState.from_records(recs).history
+        ((cost, best),) = history[("wc", "aaa")].values()
+        assert (cost, best["n"]) == (5.0, 2)

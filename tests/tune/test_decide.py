@@ -156,7 +156,7 @@ class TestHistoryOverride:
 
     def test_measured_winner_overrides_model(self):
         spec, inp = synthetic_case("uniform", seed=0)
-        cal = CalibrationState(records=self._swept_records(spec, inp))
+        cal = CalibrationState.from_records(self._swept_records(spec, inp))
         decision = decide_modes(spec, inp, config=CFG, calibration=cal)
         assert decision.source == "history"
         assert decision.mode is MemoryMode.SI
@@ -164,8 +164,8 @@ class TestHistoryOverride:
 
     def test_single_config_is_not_a_sweep(self):
         spec, inp = synthetic_case("uniform", seed=0)
-        cal = CalibrationState(
-            records=self._swept_records(spec, inp)[:1])
+        cal = CalibrationState.from_records(
+            self._swept_records(spec, inp)[:1])
         decision = decide_modes(spec, inp, config=CFG, calibration=cal)
         assert decision.source == "model"
 

@@ -87,9 +87,11 @@ class TestOverheadGuard:
         time of running the exact configuration it picked.
 
         The guard pins the engineering that makes the tuner free-ish:
-        the bounded sample profile (memoised by content digest) and
-        the mtime-cached calibration parse.  Interleaved min-of-N
-        keeps shared-runner jitter out of the comparison.
+        the bounded sample profile (memoised by content digest), one
+        input digest per job, and the incremental ledger reader that
+        decodes only the lines appended since the last decision.
+        Interleaved min-of-N keeps shared-runner jitter out of the
+        comparison.
         """
         from repro.workloads import WordCount
 
