@@ -9,7 +9,7 @@ Four detectors watch a job as the discrete-event engine runs it:
   (``left + right <= capacity``, disjoint reservations, conserving
   flushes, in-bounds stage-out);
 * **liveness** — conclusive deadlock detection within one poll
-  interval, plus the ``WaitSignal`` lost-signal reuse hazard;
+  interval;
 * **atomics** — global tail reservations replayed for linearizability
   (duplicate- and gap-free chains per address).
 

@@ -8,9 +8,8 @@ handed the same reservation (they will overwrite each other's
 output); a gap means a reservation was fabricated or lost.
 
 The three output tail counters (key bytes, value bytes, record count)
-are exactly such chains; so is the global barrier's monotone arrival
-counter.  Zero-delta entries (reads dressed as atomics) are legal
-anywhere in the chain.
+are exactly such chains.  Zero-delta entries (reads dressed as
+atomics) are legal anywhere in the chain.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Wait-signal liveness monitoring: deadlock and lost-signal reuse.
+"""Liveness monitoring: conclusive deadlock detection.
 
 Deadlock detection uses the simulator's strongest property: kernel
 state only changes when a warp executes an instruction.  The monitor
@@ -8,13 +8,6 @@ tick of its last failed probe.  When every registered warp is parked
 has re-probed since the last progress event, no probe can ever
 succeed again — that is a conclusive deadlock, caught within one poll
 interval instead of after ``MAX_POLL_RETRIES`` probes.
-
-Lost-signal detection watches the flag words that ``WaitSignal``
-instances register: raising a signal flag while any *seen* flag of
-the same condition is still set means the previous round's handshake
-has not finished unwinding — the re-armed signal can be consumed by a
-stale waiter and lost (the single-condition reuse hazard described in
-:mod:`repro.framework.sync`).
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ class _WarpState:
 
 
 class LivenessMonitor:
-    """Deadlock + wait-signal protocol monitor for one launch."""
+    """Deadlock monitor for one launch."""
 
     def __init__(self, report, config):
         self.report = report
@@ -44,11 +37,6 @@ class LivenessMonitor:
         self.tick = 0
         self.warps: dict[tuple[int, int], _WarpState] = {}
         self._parked = 0  # warps in POLL/BARRIER/DONE
-        #: Registered WaitSignal conditions, by (block_id, base_off).
-        self._conditions: set[tuple[int, int]] = set()
-        #: (block_id, signal_flag_off) -> (smem, seen_offs) for O(1)
-        #: lookup on the shared-write path.
-        self._sig_index: dict[tuple[int, int], tuple] = {}
         self._deadlocked = False
 
     # -- warp lifecycle ------------------------------------------------
@@ -142,45 +130,3 @@ class LivenessMonitor:
         self.report.add(Finding(
             detector="liveness", kind="deadlock", message=message,
         ), self.max_findings)
-
-    # -- wait-signal protocol ------------------------------------------
-
-    def register_waitsignal(self, block_id: int, smem, ws) -> None:
-        """Remember a condition's flag geometry (idempotent)."""
-        key = (block_id, ws.base_off)
-        if key in self._conditions:
-            return
-        self._conditions.add(key)
-        seen_offs = [ws.base_off + 4 * (ws.n_warps + w)
-                     for w in ws.wait_group]
-        for w in ws.signal_group:
-            self._sig_index[(block_id, ws.base_off + 4 * w)] = (
-                smem, seen_offs
-            )
-
-    def on_smem_write(self, block_id: int, warp: int, off: int,
-                      nbytes: int) -> None:
-        """Observe flag writes: fires on a raise over stale seen flags.
-
-        Called for every shared write, so the miss path is one dict
-        lookup (flag writes are exact 4-byte stores).
-        """
-        cond = self._sig_index.get((block_id, off))
-        if cond is not None:
-            smem, seen_offs = cond
-            if smem.peek_u32(off) != 1:
-                return  # a clear, not a raise
-            stale = [s for s in seen_offs if smem.peek_u32(s) != 0]
-            if stale:
-                self.report.add(Finding(
-                    detector="liveness",
-                    kind="lost-signal",
-                    message=(f"signal flag at offset {off} re-armed while "
-                             f"{len(stale)} seen flag(s) from the previous "
-                             f"round are still set — the signal can be "
-                             f"consumed by a stale waiter and lost"),
-                    block=block_id,
-                    warp=warp,
-                    details={"signal_off": off,
-                             "stale_seen_offs": stale},
-                ), self.max_findings)

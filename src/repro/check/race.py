@@ -2,9 +2,8 @@
 
 Each warp of a block carries a vector clock; happened-before edges
 come from the block barrier (``__syncthreads()``), from shared-memory
-atomics, and from the flag words the framework's synchronisation
-protocols declare as *sync words* (``WaitSignal`` flags, the
-collector's control area).  Two accesses to the same shared-memory
+atomics, and from the flag words the collector declares as *sync
+words* (its control area).  Two accesses to the same shared-memory
 byte race when at least one is a write and neither is ordered before
 the other.
 

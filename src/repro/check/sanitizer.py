@@ -7,11 +7,10 @@ shared :class:`~repro.check.report.CheckReport` across the job).
 
 The engine drives the checker from a handful of hook points (current
 warp, instruction progress, barrier arrival/release, warp retirement,
-global atomics, poll failures); shared-memory traffic arrives through
-a per-block observer installed on the block's
-:class:`~repro.gpu.memory.SharedMemory`; the framework's protocols
-(collector, ``WaitSignal``) report their semantic events through
-``ctx.checker`` when one is attached.
+global atomics, poll failures); shared-memory traffic reaches the
+race detector through a per-block observer installed on the block's
+:class:`~repro.gpu.memory.SharedMemory`; the collector reports its
+semantic events through ``ctx.checker`` when one is attached.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .report import CheckReport
 
 
 class _SmemObserver:
-    """Forwards one block's shared-memory traffic to the checker."""
+    """Forwards one block's shared-memory traffic to the race detector."""
 
     __slots__ = ("ck", "block_id")
 
@@ -79,10 +78,9 @@ class LaunchChecker:
     def block_started(self, blk) -> None:
         if self.race is not None:
             self.race.block_started(blk.block_id, blk.n_warps)
+            blk.smem.observer = _SmemObserver(self, blk.block_id)
         if self.liveness is not None:
             self.liveness.register(blk.block_id, blk.n_warps)
-        if self.race is not None or self.liveness is not None:
-            blk.smem.observer = _SmemObserver(self, blk.block_id)
 
     def set_current(self, warp) -> None:
         """The warp whose instruction the engine is about to execute
@@ -134,32 +132,22 @@ class LaunchChecker:
         if self.collector is not None:
             self.collector.launch_finished()
 
-    # -- shared-memory observer callbacks ------------------------------
+    # -- shared-memory observer callbacks (installed only with race) ----
 
     def smem_read(self, block_id: int, off: int, nbytes: int) -> None:
-        if self.race is not None:
-            self.race.on_read(block_id, self._cur_warp, off, nbytes)
+        self.race.on_read(block_id, self._cur_warp, off, nbytes)
 
     def smem_write(self, block_id: int, off: int, nbytes: int) -> None:
-        if self.race is not None:
-            self.race.on_write(block_id, self._cur_warp, off, nbytes)
-        if self.liveness is not None:
-            self.liveness.on_smem_write(block_id, self._cur_warp, off, nbytes)
+        self.race.on_write(block_id, self._cur_warp, off, nbytes)
 
     def smem_atomic(self, block_id: int, off: int) -> None:
-        if self.race is not None:
-            self.race.on_atomic(block_id, self._cur_warp, off)
+        self.race.on_atomic(block_id, self._cur_warp, off)
 
     # -- framework hooks (reached through ctx.checker) ------------------
 
     def declare_sync_range(self, block_id: int, off: int, nbytes: int) -> None:
         if self.race is not None:
             self.race.declare_sync(block_id, off, nbytes)
-
-    def register_waitsignal(self, ctx, ws) -> None:
-        if self.liveness is not None:
-            self.liveness.register_waitsignal(ctx.block_id, ctx.smem, ws)
-        self.declare_sync_range(ctx.block_id, ws.base_off, 8 * ws.n_warps)
 
     def collector_opened(self, ctx, state) -> None:
         if self.collector is not None:

@@ -14,7 +14,6 @@ Public surface::
 
 from .api import Emit, MapReduceSpec
 from .bitonic import BitonicResult, bitonic_sort_device
-from .global_sync import GlobalBarrier, max_resident_blocks
 from .pipeline import IterativeJob, IterativeResult
 from .job import JobResult, PhaseTimings, run_job
 from .layout import SmemLayout, plan_layout
@@ -23,7 +22,6 @@ from .partition import RolePartition, partition_warps
 from .records import DeviceRecordSet, KeyValueSet, OutputBuffers
 from .shuffle import GroupedDeviceSet, ShuffleResult, shuffle
 from .streaming import BatchTrace, StreamedResult, run_streamed_job, split_batches
-from .sync import WaitSignal
 
 __all__ = [
     "ALL_MODES",
@@ -44,13 +42,10 @@ __all__ = [
     "run_streamed_job",
     "BitonicResult",
     "bitonic_sort_device",
-    "GlobalBarrier",
-    "max_resident_blocks",
     "IterativeJob",
     "IterativeResult",
     "split_batches",
     "SmemLayout",
-    "WaitSignal",
     "effective_reduce_mode",
     "partition_warps",
     "plan_layout",

@@ -21,7 +21,7 @@ Example (Word Count's Map)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..errors import FrameworkError
@@ -139,9 +139,3 @@ class MapReduceSpec:
         recs = int(self.out_records_factor * count) + 4096
         return cap, cap, recs
 
-
-def run_map_only(*args, **kwargs):
-    """Convenience re-export; see :func:`repro.framework.job.run_job`."""
-    from .job import run_job  # local import to avoid a cycle
-
-    return run_job(*args, **kwargs)

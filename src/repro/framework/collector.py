@@ -26,6 +26,16 @@ Two collection paths exist:
   tail counters remain the serialisation point — the bottleneck the
   paper measures for Word Count and String Match.
 
+The overflow handshake is the paper's intra-block wait-signal
+(Section III-C): CUDA's only barrier, ``__syncthreads()``, cannot
+serve warps on divergent compute/helper paths, so the warps meet
+through three control words in shared memory.  A compute warp whose
+result does not fit raises ``OVF``; helper warps (and compute warps
+that finished early) poll it in :func:`wait_loop` at
+:func:`poll_interval`, the yield-vs-spin knob of Figure 8; every warp
+then counts itself in on ``ARRIVE``, and the last one out of the flush
+bumps ``EPOCH`` to release the others.
+
 Implementation note on atomicity: the simulator executes kernel code
 *eagerly between yields*, so any check-then-reserve sequence written
 without an intervening ``yield`` is atomic in simulated time; the
@@ -56,7 +66,6 @@ _SW_EPOCH = SharedWrite(nbytes=36)
 _SW_BCAST = SharedWrite(nbytes=12)
 _SR_BCAST = SharedRead(nbytes=12)
 from .records import OutputBuffers
-from .sync import poll_interval
 
 #: One output-directory entry: ``(key_off, key_len, val_off, val_len)``.
 _DIR4 = struct.Struct("<4I")
@@ -166,8 +175,8 @@ def collect_warp_result(
 
     key_sizes = [len(k) for k in keys]
     val_sizes = [len(v) for v in vals]
-    # Inlined warp_exclusive_scan2: identical op stream, one fewer
-    # generator frame for every scan step on this hot path.
+    # One warp scan over both size arrays (16-bit sizes pack into one
+    # 32-bit word, so a single Hillis-Steele pass serves both).
     for op in _scan_ops(ctx.timing.issue_cycles):
         yield op
     kpre, ktot = exclusive_scan(key_sizes)
@@ -246,6 +255,18 @@ def request_final_flush(ctx: WarpCtx, state: CollectorState):
     yield from ctx.fence_block()
     yield _SW_FLAG
     yield from participate_in_flush(ctx, state)
+
+
+def poll_interval(ctx: WarpCtx, yield_sync: bool) -> float:
+    """Probe spacing for a busy-wait loop under the chosen discipline.
+
+    The paper's *yield* is a dummy global read+write that swaps the
+    polling warp out for about a memory round-trip, freeing issue
+    slots for compute warps; here it widens the probe spacing from
+    ``poll_interval_spin`` to ``poll_interval_yield`` (Figure 8).
+    """
+    t = ctx.timing
+    return t.poll_interval_yield if yield_sync else t.poll_interval_spin
 
 
 def wait_loop(ctx: WarpCtx, state: CollectorState):
@@ -403,8 +424,8 @@ def direct_emit_warp(
         return
     key_sizes = [len(k) for k in keys]
     val_sizes = [len(v) for v in vals]
-    # Inlined warp_exclusive_scan2: identical op stream, one fewer
-    # generator frame for every scan step on this hot path.
+    # One warp scan over both size arrays (16-bit sizes pack into one
+    # 32-bit word, so a single Hillis-Steele pass serves both).
     for op in _scan_ops(ctx.timing.issue_cycles):
         yield op
     kpre, ktot = exclusive_scan(key_sizes)

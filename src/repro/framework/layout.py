@@ -2,8 +2,9 @@
 
 The 16 KB of per-MP shared memory available to a block is carved into:
 
-* a small **control area** — the wait-signal flag words (one per warp
-  per condition) and the output-area cursors;
+* a small **control area** — per-warp flag words plus the collector's
+  handshake words (overflow flag, arrival counter, epoch) and the
+  output-area cursors;
 * a per-thread **working area** — "a separate small working area is
   allocated to each thread, for the storage of temporary variables
   used in Map/Reduce computation" (e.g. Matrix Multiplication's one
@@ -30,8 +31,11 @@ from ..errors import ConfigError
 from ..gpu.config import WARP_SIZE
 from .modes import MemoryMode
 
-#: Per-warp flag words for each of the two wait-signal conditions
-#: (overflow-raised / overflow-handled) plus per-warp seen-state.
+#: Per-warp flag words the paper budgets for its two wait-signal
+#: conditions (overflow raised / handled) plus per-warp seen-state.
+#: The collector's handshake needs only the control words below; the
+#: reservation stays because shrinking it would move the input/output
+#: split and with it every cycle count.
 FLAG_BYTES_PER_WARP = 16
 
 #: Control words: output-area left/right cursors, record count,

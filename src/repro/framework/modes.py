@@ -49,12 +49,6 @@ class MemoryMode(str, Enum):
     def uses_texture(self) -> bool:
         return self is MemoryMode.GT
 
-    @property
-    def needs_wait_signal(self) -> bool:
-        """Intra-block wait-signal sync is only needed when output is
-        staged (Section IV-C)."""
-        return self.stages_output
-
 
 class ReduceStrategy(str, Enum):
     TR = "TR"

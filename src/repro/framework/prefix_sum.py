@@ -1,13 +1,11 @@
 """Prefix-sum (scan) primitives.
 
-Three scans appear in the reproduced systems:
+Two scans appear in the reproduced systems:
 
 * **In-warp scan** — used by every result-collection path to find each
   lane's output offset inside a warp result.  Threads of a warp run in
   lockstep, so no synchronisation is needed (Section III-D); cost is
   ``log2(32) = 5`` shared-memory steps.
-* **Block scan** — used by block-level reductions and the Mars count
-  passes' intra-block stage.
 * **Device scan** — Mars's inter-pass prefix summing "executed across
   all threads with output size values" (Section II-B), implemented as
   the classic scan-then-propagate three-kernel sequence.
@@ -70,53 +68,6 @@ def warp_exclusive_scan(ctx: WarpCtx, values: Sequence[int]):
     for op in _scan_ops(ctx.timing.issue_cycles):
         yield op
     return exclusive_scan(values)
-
-
-def warp_exclusive_scan2(ctx: WarpCtx, a: Sequence[int], b: Sequence[int]):
-    """One timed warp scan over *two* packed size arrays.
-
-    Sizes fit in 16 bits, so the classic trick applies: pack both into
-    one 32-bit word and run a single Hillis-Steele pass — the form the
-    result-collection fast path uses (one scan per warp result, not
-    two).  Returns ``(prefix_a, total_a, prefix_b, total_b)``.
-    """
-    assert len(a) == len(b) <= WARP_SIZE
-    for op in _scan_ops(ctx.timing.issue_cycles):
-        yield op
-    pa, ta = exclusive_scan(a)
-    pb, tb = exclusive_scan(b)
-    return pa, ta, pb, tb
-
-
-def block_exclusive_scan(ctx: WarpCtx, warp_totals_slot: int, my_total: int):
-    """Timed block-level exclusive scan of one value per warp.
-
-    Each warp deposits its total in a shared array, warp 0 scans it
-    (one warp-scan since blocks have <= 16 warps), and every warp reads
-    back its base.  Caller must barrier before/after as appropriate;
-    this helper charges the memory traffic only.
-
-    Returns this warp's exclusive base (functionally resolved by the
-    caller: the canonical pattern stores totals via ``block_state``).
-    """
-    smem = ctx.smem
-    smem.write_u32(warp_totals_slot + 4 * ctx.warp_id, my_total)
-    yield from ctx.stouch(4, write=True)
-    yield from ctx.barrier()
-    if ctx.warp_id == 0:
-        totals = [
-            smem.read_u32(warp_totals_slot + 4 * w)
-            for w in range(ctx.warps_per_block)
-        ]
-        prefixes, total = yield from warp_exclusive_scan(ctx, totals)
-        for w in range(ctx.warps_per_block):
-            smem.write_u32(warp_totals_slot + 4 * w, prefixes[w])
-        smem.write_u32(warp_totals_slot + 4 * ctx.warps_per_block, total)
-        yield from ctx.stouch(4 * (ctx.warps_per_block + 1), write=True)
-    yield from ctx.barrier()
-    base = smem.read_u32(warp_totals_slot + 4 * ctx.warp_id)
-    yield from ctx.stouch(4)
-    return base
 
 
 def device_scan_cycles(n: int, timing, mp_count: int) -> float:

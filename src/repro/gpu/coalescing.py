@@ -16,7 +16,6 @@ up to 32.
 
 from __future__ import annotations
 
-from math import ceil
 from typing import Iterable, Sequence
 
 from .analysis_cache import AnalysisCache, register
@@ -104,19 +103,6 @@ def scattered_transactions_cached(
     return n
 
 
-def transactions_for(
-    *,
-    addr: int = 0,
-    nbytes: int = 0,
-    addrs: Sequence[tuple[int, int]] | None = None,
-    seg: int = 64,
-) -> int:
-    """Dispatch to the contiguous or scattered model."""
-    if addrs is not None:
-        return scattered_transactions(addrs, seg)
-    return contiguous_transactions(addr, nbytes, seg)
-
-
 def bytes_touched(
     *, nbytes: int = 0, addrs: Iterable[tuple[int, int]] | None = None
 ) -> int:
@@ -138,27 +124,3 @@ def strided_lane_accesses(
     """
     return [(base + lane * stride, size) for lane in range(lanes)]
 
-
-def estimate_record_read_transactions(
-    offsets: Sequence[int], sizes: Sequence[int], seg: int = 64, lanes: int = 32
-) -> int:
-    """Transactions for each lane reading one whole (off, size) record.
-
-    Models the G-mode pattern where thread *i* walks record *i*
-    residing at arbitrary global offsets.  Reads are broken into
-    4-byte word accesses per lane and coalesced per half-warp word
-    step, approximating lockstep execution of the record-scanning
-    loop.
-    """
-    if not offsets:
-        return 0
-    n_steps = ceil(max(sizes, default=0) / 4)
-    total = 0
-    for step in range(n_steps):
-        word_accesses = []
-        for off, size in zip(offsets, sizes):
-            pos = step * 4
-            if pos < size:
-                word_accesses.append((off + pos, min(4, size - pos)))
-        total += scattered_transactions(word_accesses, seg)
-    return total

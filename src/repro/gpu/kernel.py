@@ -113,9 +113,9 @@ class WarpCtx:
     def checker(self):
         """The launch's sanitizer hooks, or None when unchecked.
 
-        Framework protocols (collector, WaitSignal) report semantic
-        events — reservations, flushes, flag geometry — through this;
-        plain kernels never need it.
+        The collector reports semantic events — reservations, flushes,
+        its control-word area — through this; plain kernels never
+        need it.
         """
         eng = self._engine
         return eng.checker if eng is not None else None

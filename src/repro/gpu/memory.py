@@ -20,8 +20,6 @@ import numpy as np
 from ..errors import AllocationError, OutOfBoundsError
 
 _U32 = struct.Struct("<I")
-_I32 = struct.Struct("<i")
-_F32 = struct.Struct("<f")
 
 #: Alignment of every allocation, matching the 128-byte segment size
 #: relevant to coalescing.
@@ -118,22 +116,6 @@ class GlobalMemory:
             self._check(addr, 4)
         _U32.pack_into(self._buf, addr, value & 0xFFFFFFFF)
 
-    def read_i32(self, addr: int) -> int:
-        self._check(addr, 4)
-        return _I32.unpack_from(self._buf, addr)[0]
-
-    def write_i32(self, addr: int, value: int) -> None:
-        self._check(addr, 4)
-        _I32.pack_into(self._buf, addr, value)
-
-    def read_f32(self, addr: int) -> float:
-        self._check(addr, 4)
-        return _F32.unpack_from(self._buf, addr)[0]
-
-    def write_f32(self, addr: int, value: float) -> None:
-        self._check(addr, 4)
-        _F32.pack_into(self._buf, addr, value)
-
     def read_u32_array(self, addr: int, count: int) -> np.ndarray:
         self._check(addr, 4 * count)
         return np.frombuffer(self._buf, dtype="<u4", count=count, offset=addr).copy()
@@ -143,32 +125,11 @@ class GlobalMemory:
         self._check(addr, arr.nbytes)
         self._buf[addr : addr + arr.nbytes] = arr.tobytes()
 
-    def read_f32_array(self, addr: int, count: int) -> np.ndarray:
-        self._check(addr, 4 * count)
-        return np.frombuffer(self._buf, dtype="<f4", count=count, offset=addr).copy()
-
-    def write_f32_array(self, addr: int, values: np.ndarray) -> None:
-        arr = np.ascontiguousarray(values, dtype="<f4")
-        self._check(addr, arr.nbytes)
-        self._buf[addr : addr + arr.nbytes] = arr.tobytes()
-
     # Functional halves of atomics; timing is applied by the engine.
 
     def atomic_add_u32(self, addr: int, delta: int) -> int:
         old = self.read_u32(addr)
         self.write_u32(addr, old + delta)
-        return old
-
-    def atomic_max_u32(self, addr: int, value: int) -> int:
-        old = self.read_u32(addr)
-        if value > old:
-            self.write_u32(addr, value)
-        return old
-
-    def atomic_cas_u32(self, addr: int, expected: int, value: int) -> int:
-        old = self.read_u32(addr)
-        if old == expected:
-            self.write_u32(addr, value)
         return old
 
 
@@ -211,12 +172,6 @@ class SharedMemory:
         if off < 0 or off + nbytes > self.size:
             self._check(off, nbytes)
         self._buf[off : off + nbytes] = data
-        if self.observer is not None:
-            self.observer.on_write(off, nbytes)
-
-    def fill(self, off: int, nbytes: int, byte: int = 0) -> None:
-        self._check(off, nbytes)
-        self._buf[off : off + nbytes] = bytes([byte]) * nbytes
         if self.observer is not None:
             self.observer.on_write(off, nbytes)
 
@@ -267,30 +222,6 @@ class SharedMemory:
         if off < 0 or off + 4 > self.size:
             self._check(off, 4)
         _U32.pack_into(self._buf, off, value & 0xFFFFFFFF)
-        if self.observer is not None:
-            self.observer.on_write(off, 4)
-
-    def read_i32(self, off: int) -> int:
-        self._check(off, 4)
-        if self.observer is not None:
-            self.observer.on_read(off, 4)
-        return _I32.unpack_from(self._buf, off)[0]
-
-    def write_i32(self, off: int, value: int) -> None:
-        self._check(off, 4)
-        _I32.pack_into(self._buf, off, value)
-        if self.observer is not None:
-            self.observer.on_write(off, 4)
-
-    def read_f32(self, off: int) -> float:
-        self._check(off, 4)
-        if self.observer is not None:
-            self.observer.on_read(off, 4)
-        return _F32.unpack_from(self._buf, off)[0]
-
-    def write_f32(self, off: int, value: float) -> None:
-        self._check(off, 4)
-        _F32.pack_into(self._buf, off, value)
         if self.observer is not None:
             self.observer.on_write(off, 4)
 

@@ -19,7 +19,7 @@ per-batch scalar fallback everywhere else.  Non-float workloads must
 be byte-identical to the scalar fast run (records *and* order); the
 float workloads (KM, SS, LR) match under the usual float32 tolerance.
 
-The sixth and seventh executors are the distributed backend
+The fifth and sixth executors are the distributed backend
 (``dist:2`` — coordinator + socket workers, GFS-style splits forced
 small so every case really schedules multiple tasks) and ``dist:2``
 with the spill store at the same tiny budget.  Workers ship plain

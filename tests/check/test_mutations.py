@@ -3,10 +3,11 @@
 The acceptance bar for a sanitizer is not "runs clean on good code"
 but "fires on broken code".  Each test here injects one of the four
 defect classes the paper's protocols are vulnerable to — a corrupted
-collector cursor, a dropped wait-signal, a missing synchronisation
-edge, a duplicated global-tail reservation — and asserts the matching
-finding appears in the report.  A control variant of the racy kernel
-shows the barrier edge silences the detector (no false positive).
+collector cursor, a flag a waiter polls that is never raised, a
+missing synchronisation edge, a duplicated global-tail reservation —
+and asserts the matching finding appears in the report.  A control
+variant of the racy kernel shows the barrier edge silences the
+detector (no false positive).
 """
 
 import pytest
@@ -20,10 +21,10 @@ from repro.framework.collector import (
     CollectorState,
     collect_warp_result,
     init_collector,
+    poll_interval,
     request_final_flush,
     wait_loop,
 )
-from repro.framework.sync import WaitSignal
 from repro.gpu import Device, DeviceConfig
 from repro.gpu.instructions import AtomicGlobal, AtomicShared
 
@@ -91,45 +92,17 @@ class TestLivenessMutation:
         """A signaller that never raises its flag strands the waiter;
         the tick rule must call it long before the poll-retry cap."""
         dev, san = make_checked_device(race=False)
-        ws = WaitSignal(base_off=0, n_warps=2, signal_group=(0,),
-                        wait_group=(1,))
 
         def k(ctx):
             if ctx.warp_id == 0:
                 yield from ctx.fence_block()  # "signal" without the flag
             else:
-                yield from ws.wait(ctx)
+                yield from ctx.poll(ctx.smem.flag_checker(0, 1),
+                                    poll_interval(ctx, True))
 
         with pytest.raises(DeadlockError):
             dev.launch(k, grid=1, block=64, smem_bytes=256)
         assert "deadlock" in kinds(san.finish())
-
-    def test_stale_seen_flag_reuse_is_detected(self):
-        """Raising a signal flag while a previous round's seen flag is
-        still up is the classic lost-signal reuse bug (the guard in
-        WaitSignal.signal prevents it; a legacy implementation that
-        skips the guard must be caught by the observer)."""
-        dev, san = make_checked_device(race=False)
-        ws = WaitSignal(base_off=0, n_warps=2, signal_group=(0,),
-                        wait_group=(1,))
-
-        def k(ctx):
-            if ctx.warp_id == 0:
-                ws._register(ctx)
-                # Stale state from a "previous round"...
-                ctx.smem.write_u32(ws._seen_off(1), 1)
-                yield from ctx.stouch(4, write=True)
-                # ...and a guard-less re-signal on top of it.
-                ctx.smem.write_u32(ws._sig_off(0), 1)
-                yield from ctx.stouch(4, write=True)
-                ctx.smem.write_u32(ws._sig_off(0), 0)
-                ctx.smem.write_u32(ws._seen_off(1), 0)
-                yield from ctx.stouch(8, write=True)
-            else:
-                yield from ctx.compute(100)
-
-        dev.launch(k, grid=1, block=64, smem_bytes=256)
-        assert "lost-signal" in kinds(san.finish())
 
 
 class TestRaceMutation:

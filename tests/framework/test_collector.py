@@ -7,7 +7,7 @@ isolation from the Map engine.
 
 import pytest
 
-from repro.errors import FrameworkError, KernelFault
+from repro.errors import KernelFault
 from repro.framework import MemoryMode, OutputBuffers, plan_layout
 from repro.framework.collector import (
     COMPUTE_DONE,
@@ -15,6 +15,7 @@ from repro.framework.collector import (
     collect_warp_result,
     direct_emit_warp,
     init_collector,
+    poll_interval,
     request_final_flush,
     wait_loop,
 )
@@ -225,3 +226,50 @@ class TestDirectPath:
         ))
         # Every (tag, value) pair present exactly once.
         assert len({(k_, v) for k_, v in records}) == 8 * 2 * 8
+
+
+class TestYieldDiscipline:
+    def test_poll_interval_values(self):
+        dev = Device(DeviceConfig.small(1))
+        holder = {}
+
+        def k(ctx):
+            holder["spin"] = poll_interval(ctx, False)
+            holder["yield"] = poll_interval(ctx, True)
+            yield from ctx.compute(1)
+
+        dev.launch(k, grid=1, block=32)
+        assert holder["yield"] > 10 * holder["spin"]
+
+    def test_spin_consumes_more_issue_slots(self):
+        """The Figure 8 mechanism: a helper warp parked in
+        ``wait_loop`` probes the overflow flag far more often when it
+        spins than when it yields, over the same wait."""
+
+        def run(yield_sync):
+            dev, layout, out = make_setup(n_warps=2)
+
+            def k(ctx, layout, out):
+                bs = ctx.block_state
+                if ctx.warp_id == 0:
+                    cs = CollectorState(layout=layout, out=out, n_warps=2,
+                                        n_compute=1, yield_sync=yield_sync)
+                    init_collector(ctx, cs)
+                    bs["cs"] = cs
+                yield from ctx.barrier()
+                cs = bs["cs"]
+                if ctx.warp_id == 0:
+                    yield from ctx.compute(20000)
+                    yield from collect_warp_result(ctx, cs, [b"k"], [b"v"])
+                    yield from request_final_flush(ctx, cs)
+                else:
+                    yield from wait_loop(ctx, cs)
+
+            st = dev.launch(k, grid=1, block=64, smem_bytes=layout.smem_bytes,
+                            args=(layout, out))
+            assert out.as_record_set().count == 1
+            return st
+
+        spin = run(False)
+        yld = run(True)
+        assert spin.polls > 5 * yld.polls

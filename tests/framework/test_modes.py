@@ -21,11 +21,6 @@ class TestModeProperties:
             m.uses_texture for m in ALL_MODES if m is not MemoryMode.GT
         )
 
-    def test_wait_signal_only_with_staged_output(self):
-        """Section IV-C: the primitive is only used in SIO and SO."""
-        needs = {m for m in ALL_MODES if m.needs_wait_signal}
-        assert needs == {MemoryMode.SO, MemoryMode.SIO}
-
     def test_all_modes_order_matches_paper(self):
         assert [m.value for m in ALL_MODES] == ["G", "GT", "SI", "SO", "SIO"]
 

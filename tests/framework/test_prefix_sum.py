@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.framework.prefix_sum import (
-    block_exclusive_scan,
     device_scan_cycles,
     exclusive_scan,
     warp_exclusive_scan,
@@ -54,20 +53,6 @@ class TestWarpScan:
 
         st_ = dev.launch(k, grid=1, block=32, smem_bytes=256)
         assert st_.barriers == 0
-
-
-class TestBlockScan:
-    def test_block_scan_bases(self):
-        dev = Device(DeviceConfig.small(1))
-        bases = {}
-
-        def k(ctx):
-            base = yield from block_exclusive_scan(ctx, 0, 10 * (ctx.warp_id + 1))
-            bases[ctx.warp_id] = base
-
-        dev.launch(k, grid=1, block=128, smem_bytes=256)
-        # totals 10,20,30,40 -> bases 0,10,30,60
-        assert bases == {0: 0, 1: 10, 2: 30, 3: 60}
 
 
 class TestDeviceScanModel:

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from repro.gpu.coalescing import (
     bytes_touched,
     contiguous_transactions,
-    estimate_record_read_transactions,
     scattered_transactions,
     segments_for_range,
     strided_lane_accesses,
-    transactions_for,
 )
 
 
@@ -78,35 +76,6 @@ class TestScattered:
 
 
 class TestDispatch:
-    def test_transactions_for_contiguous(self):
-        assert transactions_for(addr=0, nbytes=128, seg=64) == 2
-
-    def test_transactions_for_scattered(self):
-        assert transactions_for(addrs=[(0, 4), (1024, 4)], seg=64) == 2
-
     def test_bytes_touched(self):
         assert bytes_touched(nbytes=100) == 100
         assert bytes_touched(addrs=[(0, 4), (8, 8)]) == 12
-
-
-class TestRecordReadEstimate:
-    def test_records_at_scattered_offsets_cost_per_lane(self):
-        # 32 records of 4 bytes, each in its own segment.
-        offs = [i * 256 for i in range(32)]
-        sizes = [4] * 32
-        assert estimate_record_read_transactions(offs, sizes) == 32
-
-    def test_adjacent_records_coalesce(self):
-        # 32 adjacent 4-byte records = the coalesced pattern.
-        offs = [i * 4 for i in range(32)]
-        sizes = [4] * 32
-        assert estimate_record_read_transactions(offs, sizes) == 2
-
-    def test_long_records_multiply_steps(self):
-        offs = [i * 1024 for i in range(16)]
-        sizes = [64] * 16
-        # 16 word-steps, each scattering across 16 segments.
-        assert estimate_record_read_transactions(offs, sizes) == 16 * 16
-
-    def test_empty(self):
-        assert estimate_record_read_transactions([], []) == 0

@@ -70,11 +70,8 @@ class TestGlobalAccess:
         g = GlobalMemory()
         a = g.alloc(16)
         g.write_u32(a, 0xDEADBEEF)
-        g.write_i32(a + 4, -42)
-        g.write_f32(a + 8, 1.5)
         assert g.read_u32(a) == 0xDEADBEEF
-        assert g.read_i32(a + 4) == -42
-        assert g.read_f32(a + 8) == 1.5
+        assert g.read(a, 4) == b"\xef\xbe\xad\xde"  # little-endian
 
     def test_u32_wraps_like_hardware(self):
         g = GlobalMemory()
@@ -88,9 +85,6 @@ class TestGlobalAccess:
         a = g.alloc(40)
         g.write_u32_array(a, np.arange(10, dtype=np.uint32))
         assert list(g.read_u32_array(a, 10)) == list(range(10))
-        g.write_f32_array(a, np.linspace(0, 1, 10, dtype=np.float32))
-        out = g.read_f32_array(a, 10)
-        assert out[0] == 0.0 and out[-1] == 1.0
 
     def test_view_is_zero_copy(self):
         g = GlobalMemory()
@@ -105,19 +99,6 @@ class TestGlobalAccess:
         assert g.atomic_add_u32(a, 5) == 0
         assert g.atomic_add_u32(a, 7) == 5
         assert g.read_u32(a) == 12
-
-    def test_atomic_max_and_cas(self):
-        g = GlobalMemory()
-        a = g.alloc(4)
-        g.write_u32(a, 10)
-        assert g.atomic_max_u32(a, 5) == 10
-        assert g.read_u32(a) == 10
-        assert g.atomic_max_u32(a, 20) == 10
-        assert g.read_u32(a) == 20
-        assert g.atomic_cas_u32(a, 20, 99) == 20
-        assert g.read_u32(a) == 99
-        assert g.atomic_cas_u32(a, 20, 7) == 99
-        assert g.read_u32(a) == 99
 
     @given(st.binary(min_size=0, max_size=512), st.integers(0, 100))
     @settings(max_examples=50)
@@ -138,21 +119,13 @@ class TestSharedMemory:
         s = SharedMemory(32)
         assert s.read(0, 32) == bytes(32)
 
-    def test_fill(self):
-        s = SharedMemory(16)
-        s.fill(4, 8, 0xAB)
-        assert s.read(4, 8) == b"\xab" * 8
-        assert s.read(0, 4) == bytes(4)
-
     def test_typed_and_atomic(self):
         s = SharedMemory(16)
         s.write_u32(0, 7)
         assert s.atomic_add_u32(0, 3) == 7
         assert s.read_u32(0) == 10
-        s.write_f32(4, -2.25)
-        assert s.read_f32(4) == -2.25
-        s.write_i32(8, -1)
-        assert s.read_i32(8) == -1
+        s.write_u32(8, -1)
+        assert s.read_u32(8) == 0xFFFFFFFF
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -82,18 +82,35 @@ class TestSamplingCaps:
 
 
 class TestOverheadGuard:
-    def test_autotune_overhead_under_5_percent(self):
-        """mode="auto" on a tiny input stays within 5% of the wall
-        time of running the exact configuration it picked.
+    def test_autotune_overhead_under_5_percent(self, monkeypatch):
+        """What mode="auto" adds to a tiny job stays within 5% of the
+        wall time of running the exact configuration it picked.
 
         The guard pins the engineering that makes the tuner free-ish:
         the bounded sample profile (memoised by content digest), one
         input digest per job, and the incremental ledger reader that
         decodes only the lines appended since the last decision.
-        Interleaved min-of-N keeps shared-runner jitter out of the
-        comparison.
+
+        All that auto adds is the one ``_resolve_modes`` call in
+        ``repro.backend.core``, so the test times that call directly
+        (wrapped at call time, min over the auto jobs) against the
+        fixed job's min wall.  Subtracting two ~30 ms job walls would
+        read a ~1 ms cost through their host noise instead.
         """
+        from repro.backend import core
         from repro.workloads import WordCount
+
+        resolve_s = []
+        real = core._resolve_modes
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                resolve_s.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(core, "_resolve_modes", timed)
 
         w = WordCount()
         inp = w.generate("small", seed=0, scale=0.2)
@@ -106,17 +123,17 @@ class TestOverheadGuard:
         choice = first.map_stats.extra["tuner_choice"]
         tpb = int(choice.rsplit("@", 1)[1].split()[0])
 
-        auto_walls, fixed_walls = [], []
+        fixed_walls = []
         for _ in range(7):
-            t0 = time.perf_counter()
-            run_job(spec, inp, mode="auto", strategy="TR", **kw)
-            auto_walls.append(time.perf_counter() - t0)
+            auto = run_job(spec, inp, mode="auto", strategy="TR", **kw)
+            assert auto.map_stats.extra["tuner_choice"] == choice
             t0 = time.perf_counter()
             run_job(spec, inp, mode=first.mode, strategy=first.strategy,
                     threads_per_block=tpb, **kw)
             fixed_walls.append(time.perf_counter() - t0)
-        overhead = min(auto_walls) / min(fixed_walls) - 1.0
+        assert len(resolve_s) == 8
+        overhead = min(resolve_s) / min(fixed_walls)
         assert overhead < 0.05, (
-            f"tuner overhead {overhead:+.1%} (auto {min(auto_walls):.4f}s "
+            f"tuner overhead {overhead:+.1%} (resolve {min(resolve_s):.4f}s "
             f"vs fixed {min(fixed_walls):.4f}s for {choice})"
         )
