@@ -284,13 +284,17 @@ def resolve(args: Mapping[str, object] | None = None, *,
     ``args`` are a driver's explicit arguments and ``tuner`` the
     tuner's picks; ``None`` (or a blank string) leaves a knob open for
     the next source.  Raises :class:`FrameworkError` on the first value
-    its parser rejects, whatever its source.
+    its parser rejects, whatever its source; a set environment variable
+    is parsed even when a higher layer wins.
     """
     layers = (("arg", args or {}), ("flag", _OVERRIDES.get()),
               ("tuner", tuner or {}))
     entries = {}
     for name in (KNOBS if names is None else names):
         knob = KNOBS[name]
+        raw = os.environ.get(knob.env)
+        env = (Setting(knob.default, "default") if _unset(raw)
+               else Setting(_parse(knob, raw, f"${knob.env}"), "env"))
         for source, layer in layers:
             raw = layer.get(name)
             if not _unset(raw):
@@ -299,12 +303,7 @@ def resolve(args: Mapping[str, object] | None = None, *,
                 entries[name] = Setting(_parse(knob, raw, origin), source)
                 break
         else:
-            raw = os.environ.get(knob.env)
-            if _unset(raw):
-                entries[name] = Setting(knob.default, "default")
-            else:
-                entries[name] = Setting(
-                    _parse(knob, raw, f"${knob.env}"), "env")
+            entries[name] = env
     return Settings(entries)
 
 

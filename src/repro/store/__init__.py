@@ -10,8 +10,8 @@ Map emissions, and yields key-sorted groups into Reduce.
   group-by (default; byte-identical output and behaviour).
 * ``"spill"``  — :class:`SpillStore`: tracks an approximate byte
   budget, spills sorted runs to temp files past it, merge-streams
-  groups back through a k-way heap merge.  Peak tracked memory stays
-  bounded, enabling intermediates ≫ RAM.
+  groups back through a windowed merge of the runs' blocks.  Peak
+  tracked memory stays bounded, enabling intermediates ≫ RAM.
 
 Select per job (``run_job(..., store="spill", memory_budget=...)``),
 per process with the ``store`` / ``memory_budget`` settings

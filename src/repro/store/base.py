@@ -19,8 +19,8 @@ key-sorted intermediate exactly once via
   backend's original dict shuffle.
 * :class:`~repro.store.spill.SpillStore` — tracks an approximate byte
   budget, spills sorted runs to temp files when the budget would be
-  exceeded, and merge-streams groups back through a k-way heap merge
-  so peak tracked memory stays bounded.
+  exceeded, and merge-streams groups back through a windowed merge
+  that holds one block per run, so peak tracked memory stays bounded.
 
 Both yield groups sorted by key bytes with values in emission order,
 so downstream Reduce output is identical regardless of policy.
@@ -60,9 +60,9 @@ class StoreStats:
     peak_bytes: int = 0
     #: Sorted runs written to disk.
     spill_runs: int = 0
-    #: Payload bytes written across all spilled runs.
+    #: Bytes written across all spilled runs (payload plus framing).
     spilled_bytes: int = 0
-    #: Sequences fed to the k-way merge (disk runs + in-memory tail).
+    #: Sequences fed to the merge (disk runs + in-memory tail).
     merge_fan_in: int = 0
 
     def as_extra(self) -> dict[str, int]:

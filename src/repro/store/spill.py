@@ -1,52 +1,75 @@
-"""The spillable out-of-core store: sorted runs + k-way heap merge.
+"""The spillable out-of-core store: sorted block runs + a windowed merge.
 
 Greiner & Jacob's parallel-external-memory analysis of MapReduce
 models the shuffle as exactly this: when the intermediate working set
 exceeds the memory budget *M*, write key-sorted runs of ~*M* bytes and
 merge them back in one streaming pass.  :class:`SpillStore` is the
-host-side implementation:
+host-side implementation, and it moves records in batches — whole
+key and value arrays in the paper's structure-of-arrays layout
+(:mod:`repro.framework.records`), not one record at a time:
 
 * **emit** appends to an in-memory buffer whose approximate byte size
   (:func:`~repro.store.base.record_cost`) is tracked; when adding a
   record would push the buffer past the budget, the buffer is sorted
   by key (stable, preserving emission order of equal keys) and written
   to a temp run file first — so the tracked buffer never exceeds
-  ``max(budget, one record)``;
-* **iter_groups** merges the disk runs plus the in-memory tail with
-  ``heapq.merge``.  Every sequence is key-sorted and the merge items
-  carry ``(key, run_index, value)``, with runs numbered in creation
-  (= chronological) order — equal keys therefore pop in run order, and
-  within a run in emission order, so each group's value list is in
-  global emission order: byte-identical to
-  :class:`~repro.store.memory.MemoryStore`;
-* a group is materialised one at a time — one hot key whose values
-  exceed the budget still streams through the merge correctly (the
-  group list lives outside the tracked buffer, which stays bounded).
+  ``max(budget, one record)``.  ``emit_many`` (given a
+  :class:`~repro.framework.records.KeyValueSet`) and ``emit_columns``
+  replay that per-record rule over a cumulative-cost array in one
+  helper, :meth:`SpillStore._replay`, which searches for each spill
+  point: its loop runs once per spill, not once per record;
+* **iter_groups** and :func:`merge_runs` share one windowed merge,
+  :func:`_merge_groups`.  It holds one block per run.  ``bound`` is
+  the smallest tail key among the runs that still have blocks on
+  disk.  Every key *strictly less than* ``bound`` is complete in
+  memory, so the merge takes those records from each run, in run
+  (= chronological) order, groups them in a dict (emission order per
+  key, as :class:`~repro.store.memory.MemoryStore` does) and yields
+  the groups sorted by key; then it refills each run whose block ran
+  out or whose tail equals ``bound``, carrying that run's unconsumed
+  records forward.  The bound must be strict: a key equal to a run's
+  tail may continue in that run's next block, and taking it early
+  would put a later run's values before them.  Each group's value
+  list is therefore in global emission order: byte-identical to
+  ``MemoryStore``.  Merge memory is one block per run plus the records
+  carried forward (one hot key's values may span many blocks; the
+  group is materialised anyway, outside the tracked buffer).
 
 Run files live in a private temp directory (under the ``spill_dir``
 setting, ``$REPRO_SPILL_DIR``) and are removed by :meth:`~SpillStore.close`,
 which every execution path reaches via ``try/finally`` — a failed job
 leaves no orphaned runs behind.
 
-Run format: repeated ``u32 klen, u32 vlen, key, value`` records,
-little-endian, key-sorted within the file.
+Run format: a sequence of blocks of at most :data:`BLOCK_RECORDS`
+records, key-sorted across the whole file.  A block is a ``u32``
+record count *n*, then *n* ``u32`` key lengths, then *n* ``u32`` value
+lengths, then the key blob, then the value blob, all little-endian.
+A block is written with one ``b"".join`` and split back into records
+with one ``struct`` unpack.  Every read is length-checked:
+a torn run file raises :class:`~repro.errors.FrameworkError` naming
+the file instead of yielding short records.
 """
 
 from __future__ import annotations
 
-import heapq
+import array
 import os
 import shutil
 import struct
 import tempfile
+from bisect import bisect_left
 from typing import Iterator
 
-from .base import RECORD_OVERHEAD, IntermediateStore, record_cost
+import numpy as np
+
+from ..errors import FrameworkError
+from .base import RECORD_OVERHEAD, IntermediateStore
 
 #: Default budget when spilling is requested without an explicit one.
 DEFAULT_BUDGET = 64 * 2**20
 
-_HEADER = struct.Struct("<II")
+#: Records per run-file block: the merge holds one block per run.
+BLOCK_RECORDS = 512
 
 
 class SpillStore(IntermediateStore):
@@ -71,7 +94,9 @@ class SpillStore(IntermediateStore):
         if budget < 1:
             raise ValueError(f"spill budget must be >= 1 byte, got {budget}")
         self.budget = budget
-        self._buffer: list[tuple[bytes, bytes]] = []
+        # The buffer as two parallel arrays (structure of arrays).
+        self._keys: list[bytes] = []
+        self._vals: list[bytes] = []
         self._buffer_bytes = 0
         self._runs: list[str] = []
         self._prefix = prefix
@@ -83,10 +108,11 @@ class SpillStore(IntermediateStore):
     # -- writing -------------------------------------------------------
 
     def emit(self, key: bytes, value: bytes) -> None:
-        cost = record_cost(key, value)
-        if self._buffer and self._buffer_bytes + cost > self.budget:
+        cost = len(key) + len(value) + RECORD_OVERHEAD
+        if self._keys and self._buffer_bytes + cost > self.budget:
             self._spill_run()
-        self._buffer.append((key, value))
+        self._keys.append(key)
+        self._vals.append(value)
         self._buffer_bytes += cost
         st = self.stats
         st.emitted_records += 1
@@ -94,61 +120,67 @@ class SpillStore(IntermediateStore):
         if self._buffer_bytes > st.peak_bytes:
             st.peak_bytes = self._buffer_bytes
 
+    def emit_many(self, pairs) -> None:
+        from ..framework.records import KeyValueSet
+
+        if not isinstance(pairs, KeyValueSet):
+            super().emit_many(pairs)
+            return
+        keys, vals = pairs.keys, pairs.values
+        costs = _lengths(keys).astype(np.int64)
+        costs += _lengths(vals)
+        costs += RECORD_OVERHEAD
+        self._replay(keys, vals, np.cumsum(costs))
+
     def emit_columns(self, cols) -> None:
-        """Columnar emit with scalar-identical budget semantics.
+        self._replay(cols.keys.tolist(), cols.values.tolist(), np.cumsum(
+            cols.keys.lengths + cols.values.lengths + RECORD_OVERHEAD
+        ))
 
-        The per-record rule ("spill before appending the record that
-        would overflow a non-empty buffer") is replayed over the whole
-        batch with one cumulative-cost array: each ``searchsorted``
-        finds the longest prefix that still fits, so the loop runs
-        once per *spill*, not once per record.  Buffer contents, spill
-        points, run files and all accounting come out byte-identical
-        to emitting the pairs one at a time.
+    def _replay(self, keys: list, vals: list, cum: np.ndarray) -> None:
+        """Append a batch under the scalar rule, one step per spill.
+
+        ``cum[i]`` is the summed cost of records ``0..i``.  The rule
+        is :meth:`emit`'s — spill before appending the record that
+        would overflow a non-empty buffer — replayed with
+        ``searchsorted``: each step appends the longest prefix that
+        still fits, so the buffer contents, spill points, run files
+        and all accounting come out byte-identical to emitting the
+        pairs one at a time.
         """
-        import numpy as np
-
-        n = len(cols)
+        n = len(keys)
         if n == 0:
             return
-        costs = cols.keys.lengths + cols.values.lengths + RECORD_OVERHEAD
-        cum = np.cumsum(costs)
-        kl = cols.keys.tolist()
-        vl = cols.values.tolist()
-        buf = self._buffer
-        bb = self._buffer_bytes
+        bk, bv = self._keys, self._vals
         budget = self.budget
         st = self.stats
+        bb = self._buffer_bytes
+        base = 0  # cum of the records before i
         i = 0
-        while i < n:
-            prev = int(cum[i - 1]) if i else 0
-            if not buf:
+        while True:
+            j = max(i, int(cum.searchsorted(budget - bb + base, "right")))
+            if j == i and not bk:
                 # An empty buffer always accepts the next record, even
-                # one larger than the whole budget (the scalar rule).
-                buf.append((kl[i], vl[i]))
-                bb += int(costs[i])
-                if bb > st.peak_bytes:
-                    st.peak_bytes = bb
-                i += 1
-                if i >= n:
-                    break
-                prev = int(cum[i - 1])
-            # Longest prefix i..j-1 with bb + (cum[j-1] - prev) <= budget.
-            j = int(np.searchsorted(cum, budget - bb + prev, side="right"))
+                # one larger than the whole budget.
+                j = i + 1
             if j > i:
-                buf.extend(zip(kl[i:j], vl[i:j]))
-                bb += int(cum[j - 1]) - prev
+                bk.extend(keys[i:j])
+                bv.extend(vals[i:j])
+                end = int(cum[j - 1])
+                bb += end - base
+                base = end
                 if bb > st.peak_bytes:
                     st.peak_bytes = bb
                 i = j
-            if i < n:
-                # Next record would overflow a non-empty buffer: spill.
-                self._buffer_bytes = bb
-                self._spill_run()
-                buf = self._buffer
-                bb = 0
+            if i >= n:
+                break
+            # The next record would overflow a non-empty buffer: spill.
+            self._buffer_bytes = bb
+            self._spill_run()
+            bb = 0
         self._buffer_bytes = bb
         st.emitted_records += n
-        st.emitted_bytes += int(cum[-1])
+        st.emitted_bytes += base
 
     def _ensure_dir(self) -> str:
         if self._dir is None:
@@ -157,25 +189,41 @@ class SpillStore(IntermediateStore):
             )
         return self._dir
 
+    def _sorted_buffer(self) -> tuple[list[bytes], list[bytes]]:
+        """The buffer's keys and values, stably sorted by key."""
+        keys, vals = self._keys, self._vals
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return (list(map(keys.__getitem__, order)),
+                list(map(vals.__getitem__, order)))
+
     def _spill_run(self) -> None:
         """Sort the buffer and write it out as one run file."""
         run_dir = self._ensure_dir()
         path = os.path.join(
             run_dir, f"{self._prefix}-{len(self._runs):06d}.run"
         )
-        pairs = sorted(self._buffer, key=_pair_key)  # stable: emission
-        written = 0
+        keys, vals = self._sorted_buffer()
+        n = len(keys)
+        klens = _lengths(keys)
+        vlens = _lengths(vals)
+        blocks = 0
         with open(path, "wb") as fh:
-            write, pack = fh.write, _HEADER.pack
-            for k, v in pairs:
-                write(pack(len(k), len(v)))
-                write(k)
-                write(v)
-                written += 8 + len(k) + len(v)
+            for lo in range(0, n, BLOCK_RECORDS):
+                hi = min(lo + BLOCK_RECORDS, n)
+                fh.write(b"".join((
+                    (hi - lo).to_bytes(4, "little"),
+                    klens[lo:hi].tobytes(), vlens[lo:hi].tobytes(),
+                    b"".join(keys[lo:hi]), b"".join(vals[lo:hi]),
+                )))
+                blocks += 1
         self._runs.append(path)
-        self.stats.spill_runs += 1
-        self.stats.spilled_bytes += written
-        self._buffer = []
+        st = self.stats
+        st.spill_runs += 1
+        # Payload plus 8 B of lengths per record plus 4 B per block.
+        st.spilled_bytes += (self._buffer_bytes - RECORD_OVERHEAD * n
+                             + 8 * n + 4 * blocks)
+        self._keys.clear()
+        self._vals.clear()
         self._buffer_bytes = 0
 
     def flush_runs(self) -> list[str]:
@@ -186,7 +234,7 @@ class SpillStore(IntermediateStore):
         but paths crosses the process boundary.  The caller owns the
         files from here on.
         """
-        if self._buffer:
+        if self._keys:
             self._spill_run()
         self.finalize()
         runs, self._runs = self._runs, []
@@ -201,27 +249,12 @@ class SpillStore(IntermediateStore):
     def iter_groups(self) -> Iterator[tuple[bytes, list[bytes]]]:
         if not self._finalized:
             self.finalize()
-        sequences: list = [
-            _read_run(path, idx) for idx, path in enumerate(self._runs)
-        ]
-        if self._buffer:
-            tail = sorted(self._buffer, key=_pair_key)
-            idx = len(sequences)
-            sequences.append((k, idx, v) for k, v in tail)
-        self.stats.merge_fan_in = len(sequences)
+        sources = [_read_blocks(path) for path in self._runs]
+        if self._keys:
+            sources.append(_one_block(*self._sorted_buffer()))
+        self.stats.merge_fan_in = len(sources)
         try:
-            key = None
-            values: list[bytes] = []
-            for k, _idx, v in heapq.merge(*sequences):
-                if k != key:
-                    if key is not None:
-                        yield key, values
-                    key = k
-                    values = [v]
-                else:
-                    values.append(v)
-            if key is not None:
-                yield key, values
+            yield from _merge_groups(sources)
         finally:
             self.close()
 
@@ -231,7 +264,8 @@ class SpillStore(IntermediateStore):
         if self._closed:
             return
         self._closed = True
-        self._buffer = []
+        self._keys = []
+        self._vals = []
         self._buffer_bytes = 0
         runs, self._runs = self._runs, []
         for path in runs:
@@ -250,21 +284,118 @@ class SpillStore(IntermediateStore):
             pass
 
 
-def _pair_key(pair: tuple[bytes, bytes]) -> bytes:
-    return pair[0]
+def _lengths(items: list[bytes]) -> np.ndarray:
+    """``len`` of each item as little-endian ``u32``."""
+    lens = np.frombuffer(array.array("I", map(len, items)), np.uintc)
+    return lens.astype("<u4", copy=False)
 
 
-def _read_run(path: str, idx: int) -> Iterator[tuple[bytes, int, bytes]]:
-    """Stream one run file as ``(key, run_index, value)`` merge items."""
+#: ``struct`` codes for byte strings of length 0..255.
+_FIELD_CODES = [f"{i}s" for i in range(256)]
+
+
+def _unpack_format(lens: np.ndarray) -> str:
+    """The ``struct`` format that splits a blob into fields of
+    ``lens`` bytes: one C-level unpack instead of a slice per field."""
+    if len(lens) and int(lens.max()) >= len(_FIELD_CODES):
+        return "<" + "".join(map("{}s".format, lens.tolist()))
+    return "<" + "".join(map(_FIELD_CODES.__getitem__, lens.tolist()))
+
+
+def _read_blocks(path: str):
+    """Stream one run file as ``(keys, values, last)`` blocks."""
     with open(path, "rb") as fh:
-        read = fh.read
-        unpack = _HEADER.unpack
-        while True:
-            header = read(8)
-            if not header:
-                return
-            klen, vlen = unpack(header)
-            yield read(klen), idx, read(vlen)
+        size = os.fstat(fh.fileno()).st_size
+        off = 0
+
+        def take(nbytes: int) -> bytes:
+            nonlocal off
+            data = fh.read(nbytes) if off + nbytes <= size else b""
+            if len(data) != nbytes:
+                raise FrameworkError(
+                    f"spill run {path!r} is truncated: wanted {nbytes} "
+                    f"bytes at offset {off}, the file has {size}"
+                )
+            off += nbytes
+            return data
+
+        while off < size:
+            n = int.from_bytes(take(4), "little")
+            lens = np.frombuffer(take(8 * n), "<u4")
+            blob = take(int(lens.sum(dtype=np.int64)))
+            recs = struct.Struct(_unpack_format(lens)).unpack(blob)
+            yield list(recs[:n]), list(recs[n:]), off == size
+
+
+def _one_block(keys: list, vals: list):
+    """The sorted in-memory tail as a one-block merge source."""
+    yield keys, vals, True
+
+
+class _Run:
+    """One merge input: its current block and where the merge is."""
+
+    __slots__ = ("keys", "vals", "pos", "last", "blocks")
+
+    def __init__(self, blocks, block) -> None:
+        self.blocks = blocks
+        self.keys, self.vals, self.last = block
+        self.pos = 0
+
+    def refill(self) -> None:
+        """Load the next block after the records not yet taken."""
+        keys, vals, self.last = next(self.blocks)
+        if self.pos < len(self.keys):
+            # Extend the carried records in place: a hot key that spans
+            # many blocks of one run then costs linear time, not
+            # quadratic.
+            del self.keys[:self.pos], self.vals[:self.pos]
+            self.keys += keys
+            self.vals += vals
+        else:
+            self.keys, self.vals = keys, vals
+        self.pos = 0
+
+
+def _merge_groups(sources: list) -> Iterator[tuple[bytes, list[bytes]]]:
+    """The windowed merge of key-sorted block sources, in run order.
+
+    See the module docstring for the rule; ``sources`` yield
+    ``(keys, values, last)`` blocks and are closed on every exit.
+    """
+    try:
+        runs = []
+        for src in sources:
+            block = next(src, None)
+            if block is not None:
+                runs.append(_Run(src, block))
+        while runs:
+            tails = [r.keys[-1] for r in runs if not r.last]
+            bound = min(tails) if tails else None
+            groups: dict[bytes, list[bytes]] = {}
+            group = groups.setdefault
+            for r in runs:
+                keys, pos = r.keys, r.pos
+                end = len(keys) if bound is None else bisect_left(
+                    keys, bound, pos)
+                if end > pos:
+                    for k, v in zip(keys[pos:end], r.vals[pos:end]):
+                        group(k, []).append(v)
+                    r.pos = end
+            if groups:
+                yield from sorted(groups.items())
+            live = []
+            for r in runs:
+                if r.pos == len(r.keys) and r.last:
+                    continue
+                if not r.last and (r.pos == len(r.keys)
+                                   or r.keys[-1] == bound):
+                    r.refill()
+                live.append(r)
+            runs = live
+    finally:
+        for src in sources:
+            src.close()
 
 
 def merge_runs(run_groups: list[list[str]]
@@ -278,19 +409,6 @@ def merge_runs(run_groups: list[list[str]]
     keys accumulate values shard-by-shard in emission order.  The
     caller owns (and cleans up) the files.
     """
-    sequences = []
-    for paths in run_groups:
-        for path in paths:
-            sequences.append(_read_run(path, len(sequences)))
-    key = None
-    values: list[bytes] = []
-    for k, _idx, v in heapq.merge(*sequences):
-        if k != key:
-            if key is not None:
-                yield key, values
-            key = k
-            values = [v]
-        else:
-            values.append(v)
-    if key is not None:
-        yield key, values
+    return _merge_groups(
+        [_read_blocks(path) for paths in run_groups for path in paths]
+    )

@@ -223,6 +223,26 @@ def test_precedence_arg_flag_tuner_env_default(monkeypatch):
     assert resolve().source("store") == "env"
 
 
+@pytest.mark.parametrize("name", sorted(BAD))
+def test_bad_env_value_fails_under_every_higher_layer(name, tmp_path,
+                                                      monkeypatch):
+    """A set variable is parsed even when an argument, a flag or the
+    tuner supplies the value, so bad configuration fails at entry."""
+    knob = KNOBS[name]
+    monkeypatch.setenv(knob.env, _bad(name, tmp_path))
+    good = knob.default
+    if good is None:
+        good = {"workers": 2, "memory_budget": 4096,
+                "spill_dir": str(tmp_path)}[name]
+    want = re.escape(f"${knob.env}=")
+    for args, tuner in (({name: good}, None), (None, {name: good})):
+        with pytest.raises(FrameworkError, match=want):
+            resolve(args, tuner=tuner, names=(name,))
+    with override(**{name: good}), pytest.raises(FrameworkError,
+                                                 match=want):
+        resolve(names=(name,))
+
+
 def test_bench_check_flag_is_scoped_to_the_command(monkeypatch):
     monkeypatch.delenv("REPRO_CHECK", raising=False)
     seen = []
