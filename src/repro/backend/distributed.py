@@ -266,7 +266,8 @@ class DistributedBackend(FastBackend):
         keys, vals = d_in.keys, d_in.values
         tasks = []
         for shard, (lo, hi) in enumerate(slices):
-            payload = {"pairs": list(zip(keys[lo:hi], vals[lo:hi]))}
+            payload = {"pairs": KeyValueSet.from_lists(keys[lo:hi],
+                                                       vals[lo:hi])}
             if spill is not None:
                 payload["spill"] = spill
             tasks.append((shard, payload))
@@ -279,10 +280,8 @@ class DistributedBackend(FastBackend):
             emit_count = handle.emit_count
         else:
             handle = KeyValueSet()
-            append = handle.append_unchecked
             for r in results:  # split order = input order
-                for k, v in r["pairs"]:
-                    append(k, v)
+                handle.extend(r["pairs"])
             emit_count = len(handle)
         stats = self._phase_stats(ctx, before, records_in=len(d_in),
                                   records_out=emit_count,
@@ -327,10 +326,8 @@ class DistributedBackend(FastBackend):
         before = dict(cluster.counters)
         results = self._run(ctx, tr, "reduce", tasks)
         out = KeyValueSet()
-        append = out.append_unchecked
         for r in results:  # range order = sorted key order
-            for k, v in r["pairs"]:
-                append(k, v)
+            out.extend(r["pairs"])
         stats = self._phase_stats(
             ctx, before,
             records_in=sum(r["profile"]["records_in"] for r in results),

@@ -11,8 +11,9 @@ localhost TCP and drives them through the MapReduce master loop:
   worker (a worker is only ever sent a task while it is idle and
   blocked in ``recv``, so a large task frame can never deadlock
   against a worker trying to reply);
-* **survive** — a torn connection means a dead worker: its in-flight
-  task is re-queued with ``attempt + 1`` and runs elsewhere; if every
+* **survive** — a torn connection, or a frame that does not decode,
+  means a dead worker: its socket is closed, its in-flight task is
+  re-queued with ``attempt + 1`` and runs elsewhere; if every
   worker is dead, a replacement is spawned under a fresh index (fresh
   index = fresh fault state, so a scripted kill cannot re-trip);
 * **speculate** — a task outliving ``straggler_factor ×`` the median
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from ..errors import FrameworkError
 from .faults import FaultPlan
 from .tasks import configure
-from .wire import FrameReader, recv_msg, send_msg
+from .wire import ConnectionClosed, FrameReader, recv_msg, send_msg
 from .worker import worker_main
 
 #: A shard is abandoned after this many attempts (initial + retries).
@@ -392,8 +393,15 @@ class Cluster:
             self._on_worker_death(h, phase, pending, done)
             return
         h.reader.feed(data)
-        for msg in h.reader.frames():
-            self._on_message(h, msg, phase, done, durations)
+        try:
+            for msg in h.reader.frames():
+                if not isinstance(msg, dict):
+                    raise ConnectionClosed(f"header {msg!r} is no object")
+                self._on_message(h, msg, phase, done, durations)
+        except ConnectionClosed:
+            # A frame that does not decode leaves the stream beyond
+            # repair: the sender is as good as dead.
+            self._on_worker_death(h, phase, pending, done)
 
     def _on_message(self, h: _WorkerHandle, msg: dict, phase: str,
                     done: dict, durations: list[float]) -> None:

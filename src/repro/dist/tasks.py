@@ -5,14 +5,20 @@ on the same message shapes, so a shard's output never depends on
 which worker, or which attempt, ran it:
 
 * :func:`run_map` takes ``{"shard", "pairs", ["spill"], ["attempt",
-  "seq"]}`` and returns ``{"pairs": [...], "profile": {...}}``.  Under
-  a spill store (``"spill": [run_dir, budget]``) every emission goes
-  straight into key-sorted run files instead, and the reply carries
+  "seq"]}`` and returns ``{"pairs", "profile"}``.  Under a spill
+  store (``"spill": [run_dir, budget]``) every emission goes straight
+  into key-sorted run files instead, and the reply carries
   ``{"spilled": {...}, "profile": {...}}``.
-* :func:`run_reduce` takes ``{"shard", "groups": [[key, [value,
-  ...]], ...]}`` and returns ``{"pairs": [...], "profile": {...}}``.
-  It runs the strategy exactly like the fast backend: the full BR fold
-  per group, or the TR reduce fn over memoised value accessors.
+* :func:`run_reduce` takes ``{"shard", "groups"}`` and returns
+  ``{"pairs", "profile"}``.  It runs the strategy exactly like the
+  fast backend: the full BR fold per group, or the TR reduce fn over
+  memoised value accessors.
+
+``pairs`` and ``groups`` are the record sections of
+:mod:`repro.dist.wire`: a ``pairs`` section decodes to a
+:class:`~repro.framework.records.KeyValueSet` (parallel key and value
+lists) and a ``groups`` section to ``(key, [value, ...])`` tuples.
+Plain lists of pairs and of groups work as inputs too.
 
 The ``profile`` dict holds the fields of a
 :class:`~repro.obs.telemetry.ShardProfile` minus phase and shard.
@@ -32,6 +38,7 @@ from functools import reduce as _fold
 
 from ..errors import FrameworkError
 from ..framework.modes import ReduceStrategy
+from ..framework.records import KeyValueSet
 from ..gpu.accessor import Accessor, host_accessor
 from ..store import SpillStore
 
@@ -99,9 +106,8 @@ def run_map(msg: dict, tick=None) -> dict:
             own_dir=False)
         emit = _emitter(store.emit)
     else:
-        out: list[tuple[bytes, bytes]] = []
-        append = out.append
-        emit = _emitter(lambda k, v: append((k, v)))
+        out = KeyValueSet()
+        emit = _emitter(out.append_unchecked)
     for k, v in pairs:
         if tick is not None:
             tick("map")
@@ -109,7 +115,7 @@ def run_map(msg: dict, tick=None) -> dict:
     if spill is None:
         return {"pairs": out,
                 "profile": _profile(t0, len(pairs), len(out),
-                                    len({k for k, _ in out}))}
+                                    len(set(out.keys)))}
     runs = store.flush_runs()
     st = store.stats
     return {
@@ -129,7 +135,7 @@ def run_reduce(msg: dict, tick=None) -> dict:
     spec = _SPEC
     t0 = time.perf_counter_ns()
     groups = msg["groups"]
-    out: list[tuple[bytes, bytes]] = []
+    out = KeyValueSet()
     n_values = 0
     if _STRATEGY is ReduceStrategy.BR and not _IS_MARS:
         combine, finalize = spec.combine, spec.finalize
@@ -140,10 +146,9 @@ def run_reduce(msg: dict, tick=None) -> dict:
                     tick("reduce")
             k_out, v_out = finalize(key, _fold(combine, values),
                                     len(values))
-            out.append((bytes(k_out), bytes(v_out)))
+            out.append_unchecked(bytes(k_out), bytes(v_out))
     else:
-        append = out.append
-        emit = _emitter(lambda k, v: append((k, v)))
+        emit = _emitter(out.append_unchecked)
         const = host_accessor(spec.const_bytes) if spec.const_bytes else None
         reduce_record = spec.reduce_record
         cache: dict[bytes, Accessor] = {}

@@ -1,34 +1,51 @@
-"""Length-prefixed JSON frames over a stream socket.
+"""Length-prefixed binary frames over a stream socket.
 
-The distributed backend's coordinator and workers speak a minimal
-message protocol: each frame is a 4-byte big-endian payload length
-followed by a UTF-8 JSON document.  ``bytes`` values (record keys and
-values, the only binary payload) are encoded as ``{"__b64__": ...}``
-wrappers and restored on decode, so messages round-trip arbitrary
-nested dict/list/str/int/float/bool/bytes structures — the subset the
-task and result messages use.
+A frame is a 4-byte big-endian payload length, then the payload: a
+4-byte big-endian header length, a UTF-8 JSON header, and the record
+*sections* the header's ``"sections"`` list names, in that order.
+Records cross the wire in the paper's structure-of-arrays layout, as
+blocks of the codec spill runs use (:mod:`repro.framework.records`),
+never as one JSON value per record:
 
-Two consumption styles match the two sides of the connection:
+* ``pairs`` — one two-column block: count, key lengths, value
+  lengths, key blob, value blob.  :func:`encode` takes a
+  :class:`~repro.framework.records.KeyValueSet` or any iterable of
+  ``(key, value)`` pairs; :func:`decode` returns a ``KeyValueSet``.
+* ``groups`` — a ``u32`` group count, the per-group value counts, a
+  one-column key block and a one-column block of every group's
+  values, flattened.  ``(key, [value, ...])`` groups go in and come
+  out.
 
-* workers block on one socket — :func:`recv_msg` reads exactly one
-  frame (raising :class:`ConnectionClosed` on a clean or torn EOF);
-* the coordinator multiplexes many sockets under ``selectors`` —
-  a per-connection :class:`FrameReader` is fed whatever bytes arrived
-  and yields only the complete frames buffered so far.
+Everything else (type, phase, epoch, seq, shard, attempt, profile,
+spilled, spill, message) is header, so ``bytes`` anywhere outside a
+section fail at :func:`encode` with ``TypeError``; a message that is
+not a dict is a header-only frame.  :func:`decode` length-checks every
+section against the frame and rejects trailing bytes: a torn or
+corrupt payload raises ``ValueError``, never returns short records.
 
-JSON-with-base64 was chosen over a binary codec deliberately: the
-container ships no msgpack, frames stay printable for debugging, and
-the backend's contract is byte-identical *output*, not wire
-compactness (the honest single-host benchmark prices the overhead).
+Workers block on one socket with :func:`recv_msg`; the coordinator
+multiplexes sockets under ``selectors`` and feeds each one's bytes to
+a :class:`FrameReader`.  Both raise :class:`ConnectionClosed` on EOF,
+a bad length prefix, or a payload that does not decode: a stream that
+carried one bad frame cannot be trusted to resynchronise.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import socket
 import struct
+from itertools import accumulate, chain
 from typing import Any, Iterator
+
+import numpy as np
+
+from ..framework.records import (
+    KeyValueSet,
+    field_lengths,
+    pack_block,
+    read_block,
+)
 
 #: Sanity cap on a single frame (1 GiB): a corrupt length prefix
 #: should fail loudly, not attempt a giant allocation.
@@ -38,40 +55,111 @@ _HDR = struct.Struct(">I")
 
 
 class ConnectionClosed(Exception):
-    """The peer closed the connection (mid-frame or between frames)."""
+    """The peer closed the connection (mid-frame or between frames),
+    or sent a frame that does not decode."""
 
 
-def _pack(obj: Any) -> Any:
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return {"__b64__": base64.b64encode(bytes(obj)).decode("ascii")}
-    if isinstance(obj, (list, tuple)):
-        return [_pack(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _pack(v) for k, v in obj.items()}
-    return obj
+def _encode_pairs(pairs) -> bytes:
+    if isinstance(pairs, KeyValueSet):
+        return pack_block(pairs.keys, pairs.values)
+    pairs = list(pairs)
+    return pack_block([k for k, _ in pairs], [v for _, v in pairs])
 
 
-def _unpack(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        if len(obj) == 1 and "__b64__" in obj:
-            return base64.b64decode(obj["__b64__"])
-        return {k: _unpack(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_unpack(x) for x in obj]
-    return obj
+def _encode_groups(groups) -> bytes:
+    keys = [k for k, _ in groups]
+    values = [vs for _, vs in groups]
+    return b"".join((
+        len(keys).to_bytes(4, "little"), field_lengths(values).tobytes(),
+        pack_block(keys), pack_block(list(chain.from_iterable(values))),
+    ))
+
+
+def _decode_pairs(take) -> KeyValueSet:
+    keys, values = read_block(take)
+    return KeyValueSet.from_lists(keys, values)
+
+
+def _decode_groups(take) -> list[tuple[bytes, list[bytes]]]:
+    g = int.from_bytes(take(4), "little")
+    counts = np.frombuffer(take(4 * g), "<u4").tolist()
+    (keys,) = read_block(take, 1)
+    (values,) = read_block(take, 1)
+    if len(keys) != g or len(values) != sum(counts):
+        raise ValueError(
+            f"groups section: {g} groups of {sum(counts)} values, but "
+            f"{len(keys)} keys and {len(values)} values"
+        )
+    return [(key, values[end - c:end])
+            for key, c, end in zip(keys, counts, accumulate(counts))]
+
+
+#: Section name -> (encoder, decoder).
+_SECTIONS = {
+    "pairs": (_encode_pairs, _decode_pairs),
+    "groups": (_encode_groups, _decode_groups),
+}
 
 
 def encode(msg: Any) -> bytes:
-    """One wire frame: length prefix + JSON payload."""
-    payload = json.dumps(_pack(msg), separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME:
-        raise ValueError(f"frame too large: {len(payload)} bytes")
-    return _HDR.pack(len(payload)) + payload
+    """One wire frame: length prefix, header, record sections."""
+    sections: list[bytes] = []
+    if isinstance(msg, dict):
+        head = {}
+        names = []
+        for name, value in msg.items():
+            codec = _SECTIONS.get(name)
+            if codec is None:
+                head[name] = value
+            else:
+                names.append(name)
+                sections.append(codec[0](value))
+        if names:
+            head["sections"] = names
+        msg = head
+    header = json.dumps(msg, separators=(",", ":")).encode("utf-8")
+    size = _HDR.size + len(header) + sum(map(len, sections))
+    if size > MAX_FRAME:
+        raise ValueError(f"frame too large: {size} bytes")
+    return b"".join((_HDR.pack(size), _HDR.pack(len(header)), header,
+                     *sections))
 
 
 def decode(payload: bytes) -> Any:
-    """Inverse of the payload half of :func:`encode`."""
-    return _unpack(json.loads(payload.decode("utf-8")))
+    """Inverse of the payload half of :func:`encode`; raises
+    ``ValueError`` on a payload that does not decode exactly."""
+    view = memoryview(payload)
+    off = 0
+
+    def take(n: int):
+        nonlocal off
+        if off + n > len(view):
+            raise ValueError(f"frame wants {n} bytes at offset {off}, "
+                             f"but holds {len(view)}")
+        off += n
+        return view[off - n:off]
+
+    (hlen,) = _HDR.unpack(take(_HDR.size))
+    msg = json.loads(str(take(hlen), "utf-8"))
+    names = msg.pop("sections", []) if isinstance(msg, dict) else []
+    if not isinstance(names, list):
+        raise ValueError(f"bad section list {names!r}")
+    for name in names:
+        codec = _SECTIONS.get(name) if isinstance(name, str) else None
+        if codec is None:
+            raise ValueError(f"unknown section {name!r}")
+        msg[name] = codec[1](take)
+    if off != len(view):
+        raise ValueError(f"{len(view) - off} trailing bytes after the "
+                         "last section")
+    return msg
+
+
+def _decode_frame(payload: bytes) -> Any:
+    try:
+        return decode(payload)
+    except ValueError as exc:
+        raise ConnectionClosed(f"undecodable frame: {exc}") from exc
 
 
 def send_msg(sock: socket.socket, msg: Any) -> None:
@@ -96,7 +184,7 @@ def recv_msg(sock: socket.socket) -> Any:
     (length,) = _HDR.unpack(_recv_exact(sock, _HDR.size))
     if length > MAX_FRAME:
         raise ConnectionClosed(f"bad frame length {length}")
-    return decode(_recv_exact(sock, length))
+    return _decode_frame(_recv_exact(sock, length))
 
 
 class FrameReader:
@@ -131,4 +219,4 @@ class FrameReader:
                 return
             payload = bytes(self._buf[_HDR.size:end])
             del self._buf[:end]
-            yield decode(payload)
+            yield _decode_frame(payload)

@@ -12,12 +12,24 @@ Mars and this framework share the same structure-of-arrays layout
 :class:`DeviceRecordSet` the device-resident image with addresses into
 simulator global memory.  Directories are ``uint32`` little-endian,
 matching what the staging copies move byte-for-byte.
+
+The same layout, with lengths in place of offsets, is the host's one
+serialised record form, the *block* (:func:`pack_block`,
+:func:`read_block`): a ``u32`` record count *n*, then *n* ``u32``
+lengths per column, then each column's blob, all little-endian.  Spill
+run files (:mod:`repro.store.spill`) are sequences of two-column
+(key, value) blocks, and the distributed backend's wire frames
+(:mod:`repro.dist.wire`) carry their records as blocks.  A block is
+built with one ``b"".join`` and split back with one ``struct`` unpack,
+never one record at a time.
 """
 
 from __future__ import annotations
 
+import array
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +67,22 @@ class KeyValueSet:
         (not bytearray/memoryview) — no validation, no copy."""
         self._keys.append(key)
         self._vals.append(value)
+
+    @classmethod
+    def from_lists(cls, keys: list[bytes], values: list[bytes]
+                   ) -> "KeyValueSet":
+        """Adopt two equally long ``bytes`` lists as the record set,
+        with no validation and no copy (the block codec's decoded
+        form)."""
+        out = cls()
+        out._keys = keys
+        out._vals = values
+        return out
+
+    def extend(self, other: "KeyValueSet") -> None:
+        """Append every record of ``other``, in order."""
+        self._keys += other._keys
+        self._vals += other._vals
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -110,6 +138,48 @@ class KeyValueSet:
             "val_mean": float(vs.mean()),
             "val_std": float(vs.std()),
         }
+
+
+def field_lengths(items: Sequence[bytes]) -> np.ndarray:
+    """``len`` of each item as little-endian ``u32``."""
+    lens = np.frombuffer(array.array("I", map(len, items)), np.uintc)
+    return lens.astype("<u4", copy=False)
+
+
+def pack_block(*columns: Sequence[bytes]) -> bytes:
+    """One block of equally long ``bytes`` columns (module docstring)."""
+    return b"".join([
+        len(columns[0]).to_bytes(4, "little"),
+        *[field_lengths(c).tobytes() for c in columns],
+        *[b"".join(c) for c in columns],
+    ])
+
+
+#: ``struct`` codes for byte strings of length 0..255.
+_FIELD_CODES = [f"{i}s" for i in range(256)]
+
+
+def _unpack_format(lens: np.ndarray) -> str:
+    """The ``struct`` format that splits a blob into fields of
+    ``lens`` bytes: one C-level unpack instead of a slice per field."""
+    if len(lens) and int(lens.max()) >= len(_FIELD_CODES):
+        return "<" + "".join(map("{}s".format, lens.tolist()))
+    return "<" + "".join(map(_FIELD_CODES.__getitem__, lens.tolist()))
+
+
+def read_block(take: Callable[[int], bytes], ncols: int = 2
+               ) -> list[list[bytes]]:
+    """Split one block of ``ncols`` columns back into ``bytes`` lists.
+
+    ``take(n)`` must return exactly the next ``n`` bytes of the source
+    or raise: a source shorter than its own length arrays says fails
+    there, never yields short records.
+    """
+    n = int.from_bytes(take(4), "little")
+    lens = np.frombuffer(take(4 * ncols * n), "<u4")
+    fields = struct.Struct(_unpack_format(lens)).unpack(
+        take(int(lens.sum(dtype=np.int64))))
+    return [list(fields[i * n:(i + 1) * n]) for i in range(ncols)]
 
 
 @dataclass

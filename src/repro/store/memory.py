@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..framework.records import KeyValueSet
 from .base import IntermediateStore, record_cost
 
 #: Per-record budget-accounting overhead (see :func:`record_cost`).
@@ -44,6 +45,28 @@ class MemoryStore(IntermediateStore):
         st = self.stats
         st.emitted_records += 1
         st.emitted_bytes += record_cost(key, value)
+        if st.emitted_bytes > st.peak_bytes:
+            st.peak_bytes = st.emitted_bytes
+
+    def emit_many(self, pairs) -> None:
+        if self._columns or not isinstance(pairs, KeyValueSet):
+            super().emit_many(pairs)
+            return
+        # One inline group-by, then the stats :meth:`emit` would have
+        # reached record by record (emitted bytes only grow, so the
+        # peak is the final total).
+        groups = self._groups
+        get = groups.get
+        for key, value in zip(pairs.keys, pairs.values):
+            bucket = get(key)
+            if bucket is None:
+                groups[key] = [value]
+            else:
+                bucket.append(value)
+        n = len(pairs)
+        st = self.stats
+        st.emitted_records += n
+        st.emitted_bytes += pairs.key_bytes + pairs.val_bytes + _OVERHEAD * n
         if st.emitted_bytes > st.peak_bytes:
             st.peak_bytes = st.emitted_bytes
 

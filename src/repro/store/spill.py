@@ -40,22 +40,22 @@ setting, ``$REPRO_SPILL_DIR``) and are removed by :meth:`~SpillStore.close`,
 which every execution path reaches via ``try/finally`` — a failed job
 leaves no orphaned runs behind.
 
-Run format: a sequence of blocks of at most :data:`BLOCK_RECORDS`
-records, key-sorted across the whole file.  A block is a ``u32``
-record count *n*, then *n* ``u32`` key lengths, then *n* ``u32`` value
-lengths, then the key blob, then the value blob, all little-endian.
-A block is written with one ``b"".join`` and split back into records
-with one ``struct`` unpack.  Every read is length-checked:
-a torn run file raises :class:`~repro.errors.FrameworkError` naming
-the file instead of yielding short records.
+Run format: a sequence of two-column (key, value) blocks of at most
+:data:`BLOCK_RECORDS` records, key-sorted across the whole file.  A
+block is a ``u32`` record count *n*, then *n* ``u32`` key lengths,
+then *n* ``u32`` value lengths, then the key blob, then the value
+blob, all little-endian: the block codec of
+:mod:`repro.framework.records` (:func:`~repro.framework.records.pack_block`,
+:func:`~repro.framework.records.read_block`), which the dist wire
+shares.  Every read is length-checked: a torn run file raises
+:class:`~repro.errors.FrameworkError` naming the file instead of
+yielding short records.
 """
 
 from __future__ import annotations
 
-import array
 import os
 import shutil
-import struct
 import tempfile
 from bisect import bisect_left
 from typing import Iterator
@@ -63,6 +63,12 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import FrameworkError
+from ..framework.records import (
+    KeyValueSet,
+    field_lengths,
+    pack_block,
+    read_block,
+)
 from .base import RECORD_OVERHEAD, IntermediateStore
 
 #: Default budget when spilling is requested without an explicit one.
@@ -121,14 +127,12 @@ class SpillStore(IntermediateStore):
             st.peak_bytes = self._buffer_bytes
 
     def emit_many(self, pairs) -> None:
-        from ..framework.records import KeyValueSet
-
         if not isinstance(pairs, KeyValueSet):
             super().emit_many(pairs)
             return
         keys, vals = pairs.keys, pairs.values
-        costs = _lengths(keys).astype(np.int64)
-        costs += _lengths(vals)
+        costs = field_lengths(keys).astype(np.int64)
+        costs += field_lengths(vals)
         costs += RECORD_OVERHEAD
         self._replay(keys, vals, np.cumsum(costs))
 
@@ -204,17 +208,11 @@ class SpillStore(IntermediateStore):
         )
         keys, vals = self._sorted_buffer()
         n = len(keys)
-        klens = _lengths(keys)
-        vlens = _lengths(vals)
         blocks = 0
         with open(path, "wb") as fh:
             for lo in range(0, n, BLOCK_RECORDS):
-                hi = min(lo + BLOCK_RECORDS, n)
-                fh.write(b"".join((
-                    (hi - lo).to_bytes(4, "little"),
-                    klens[lo:hi].tobytes(), vlens[lo:hi].tobytes(),
-                    b"".join(keys[lo:hi]), b"".join(vals[lo:hi]),
-                )))
+                fh.write(pack_block(keys[lo:lo + BLOCK_RECORDS],
+                                    vals[lo:lo + BLOCK_RECORDS]))
                 blocks += 1
         self._runs.append(path)
         st = self.stats
@@ -284,24 +282,6 @@ class SpillStore(IntermediateStore):
             pass
 
 
-def _lengths(items: list[bytes]) -> np.ndarray:
-    """``len`` of each item as little-endian ``u32``."""
-    lens = np.frombuffer(array.array("I", map(len, items)), np.uintc)
-    return lens.astype("<u4", copy=False)
-
-
-#: ``struct`` codes for byte strings of length 0..255.
-_FIELD_CODES = [f"{i}s" for i in range(256)]
-
-
-def _unpack_format(lens: np.ndarray) -> str:
-    """The ``struct`` format that splits a blob into fields of
-    ``lens`` bytes: one C-level unpack instead of a slice per field."""
-    if len(lens) and int(lens.max()) >= len(_FIELD_CODES):
-        return "<" + "".join(map("{}s".format, lens.tolist()))
-    return "<" + "".join(map(_FIELD_CODES.__getitem__, lens.tolist()))
-
-
 def _read_blocks(path: str):
     """Stream one run file as ``(keys, values, last)`` blocks."""
     with open(path, "rb") as fh:
@@ -320,11 +300,8 @@ def _read_blocks(path: str):
             return data
 
         while off < size:
-            n = int.from_bytes(take(4), "little")
-            lens = np.frombuffer(take(8 * n), "<u4")
-            blob = take(int(lens.sum(dtype=np.int64)))
-            recs = struct.Struct(_unpack_format(lens)).unpack(blob)
-            yield list(recs[:n]), list(recs[n:]), off == size
+            keys, vals = read_block(take)
+            yield keys, vals, off == size
 
 
 def _one_block(keys: list, vals: list):

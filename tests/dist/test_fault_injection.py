@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.backend import DistributedBackend
-from repro.dist import FaultPlan
+from repro.dist import FaultPlan, wire
 from repro.errors import FrameworkError
 from repro.framework import MemoryMode, ReduceStrategy, run_job
 from repro.gpu import DeviceConfig
@@ -271,3 +271,91 @@ def test_shard_exhausting_attempts_fails_loudly():
     # The retry would be attempt 2 >= max_attempts -> FrameworkError.
     with pytest.raises(FrameworkError, match="giving up"):
         cluster._on_worker_death(h, "map", deque(), {})
+
+
+_GARBAGE = {
+    "bad-length": (wire.MAX_FRAME + 1).to_bytes(4, "big"),
+    "bad-header": (6).to_bytes(4, "big") + (2).to_bytes(4, "big") + b"{x",
+    "torn-section": (lambda p: len(p).to_bytes(4, "big") + p)(
+        wire.encode({"type": "result", "pairs": [(b"k", b"v")]})[4:-1]),
+    "non-object-header": wire.encode(["result"]),
+}
+
+
+@pytest.mark.parametrize("garbage", list(_GARBAGE.values()),
+                         ids=list(_GARBAGE))
+@pytest.mark.parametrize("max_attempts", [4, 1])
+def test_undecodable_frame_is_the_senders_death(garbage, max_attempts):
+    """A worker whose peer end writes bytes that do not decode is
+    unregistered, closed and counted dead; its task re-queues as
+    attempt + 1, and the attempt cap ends a persistent fault."""
+    import selectors
+    import socket
+    from collections import deque
+
+    from repro.dist.coordinator import Cluster, _Task, _WorkerHandle
+
+    class _P:
+        def join(self, timeout=None):
+            return None
+
+    cluster = Cluster(2, max_attempts=max_attempts)
+    cluster._started = True  # bypass start(): no processes needed
+    cluster._epoch = 1
+    cluster._selector = selectors.DefaultSelector()
+    ours, peer = socket.socketpair()
+    h = _WorkerHandle(0, _P())
+    h.sock, h.alive = ours, True
+    h.task = _Task("map", 3, 0, {"pairs": []}, epoch=1)
+    cluster._handles[0] = h
+    cluster._selector.register(ours, selectors.EVENT_READ, h)
+    pending: deque = deque()
+    try:
+        peer.sendall(garbage)
+        if max_attempts == 1:
+            with pytest.raises(FrameworkError, match="giving up"):
+                cluster._service(h, "map", pending, {}, [])
+        else:
+            cluster._service(h, "map", pending, {}, [])
+            assert [(t.shard, t.attempt) for t in pending] == [(3, 1)]
+            assert cluster.counters["retries"] == 1
+        assert cluster.counters["worker_deaths"] == 1
+        assert not h.alive and h.sock is None
+        assert ours.fileno() == -1  # closed
+        assert not cluster._selector.get_map()
+    finally:
+        peer.close()
+        ours.close()
+        cluster._selector.close()
+
+
+def test_garbled_reply_mid_job_is_retried_byte_identical(tmp_path,
+                                                         monkeypatch):
+    """End to end: the first worker to reply sends garbage instead of
+    its result (once, across all workers); the job still matches fast
+    byte for byte, with one death and one retry on the books."""
+    import os
+
+    from repro.dist import worker
+
+    flag = str(tmp_path / "garbled")
+    real_send = worker.send_msg
+
+    def send_msg(sock, msg):
+        if msg.get("type") == "result":
+            try:
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                sock.sendall((5).to_bytes(4, "big") + b"junk!")
+                return
+        real_send(sock, msg)
+
+    # Forked workers inherit the patched module attribute.
+    monkeypatch.setattr(worker, "send_msg", send_msg)
+    backend, result = _run_dist(FaultPlan.none())
+    assert result.output == FAST.output
+    assert backend.last_counters["worker_deaths"] == 1
+    assert backend.last_counters["retries"] == 1
+    _assert_exactly_once(backend.last_events)

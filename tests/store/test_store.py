@@ -11,9 +11,12 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import resolve
 from repro.errors import FrameworkError
+from repro.framework.columns import ColumnBatch
+from repro.framework.records import KeyValueSet
 from repro.store import (
     MemoryStore,
     SpillStore,
@@ -198,6 +201,44 @@ class TestGroupSemantics:
         extra = st.as_extra()
         assert extra["spill_runs"] == st.spill_runs
         assert extra["store_peak_bytes"] == st.peak_bytes
+
+
+_CALLS = st.lists(st.tuples(
+    st.sampled_from(["emit", "many", "pairs", "columns"]),
+    st.lists(st.tuples(st.sampled_from([b"", b"a", b"ab", b"\x00"]),
+                       st.binary(max_size=6)), max_size=12),
+), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=_CALLS)
+def test_memory_emit_many_matches_per_record_emit(calls):
+    """``MemoryStore.emit_many``'s record-set fast path, mixed with
+    scalar, iterator and columnar emits in any order, leaves the same
+    groups and the same :class:`StoreStats` as one ``emit`` per
+    record."""
+    store, ref = MemoryStore(), MemoryStore()
+    i = 0
+    for how, chunk in calls:
+        # Tag each value with its global index: order slips show.
+        chunk = [(k, v + _u32(i + j)) for j, (k, v) in enumerate(chunk)]
+        i += len(chunk)
+        if how == "emit":
+            for k, v in chunk:
+                store.emit(k, v)
+        elif how == "many":
+            store.emit_many(KeyValueSet(chunk))
+        elif how == "pairs":
+            store.emit_many(iter(chunk))
+        else:
+            store.emit_columns(ColumnBatch.from_pairs(chunk))
+        for k, v in chunk:
+            ref.emit(k, v)
+    assert store.stats == ref.stats
+    store.finalize()
+    ref.finalize()
+    assert list(store.iter_groups()) == list(ref.iter_groups())
+    assert store.stats == ref.stats
 
 
 # ----------------------------------------------------------------------
