@@ -4,9 +4,13 @@ One small, fixed workload (wordcount, seed 11, scale 0.3, 2 MPs,
 64-thread blocks) is run on the cycle-accurate simulator once per
 memory mode — plus the Mars two-pass baseline — and its cycle counts
 and kernel counters are pinned to
-``tests/golden/wordcount_small.json``.  Any engine change that moves a
-simulated cycle or an instruction counter shows up as a precise diff
-in that file instead of as an unexplained shift in the paper figures.
+``tests/golden/wordcount_small.json``.  The same workload streamed in
+batches (paper Section III-A) is pinned to
+``tests/golden/streamed_wordcount_small.json``, and a fault-injected
+``dist:2`` schedule to ``tests/golden/dist_wordcount_small.json``.
+Any engine change that moves a simulated cycle or an instruction
+counter shows up as a precise diff in those files instead of as an
+unexplained shift in the paper figures.
 
 Regenerate (only!) when a timing-model change is intended::
 
@@ -29,11 +33,21 @@ FIXTURE = (Path(__file__).resolve().parent.parent
            / "tests" / "golden" / "wordcount_small.json")
 DIST_FIXTURE = (Path(__file__).resolve().parent.parent
                 / "tests" / "golden" / "dist_wordcount_small.json")
+STREAMED_FIXTURE = (Path(__file__).resolve().parent.parent
+                    / "tests" / "golden" / "streamed_wordcount_small.json")
 
 #: The pinned workload identity: change ANY of these and the fixture
 #: must be regenerated.
 WORKLOAD = {"code": "WC", "size": "small", "seed": 11, "scale": 0.3,
             "mps": 2, "threads_per_block": 64, "strategy": "TR"}
+
+#: The pinned streamed runs: the workload above in three overlapped
+#: batches, once with its SO/TR Reduce tail and once Map-only.
+STREAMED_RUNS = {
+    "SO_TR": {"mode": "SO", "strategy": "TR"},
+    "SO_map_only": {"mode": "SO", "strategy": None},
+}
+STREAMED_BATCHING = {"n_batches": 3, "overlap": True}
 
 #: The pinned distributed run: same workload on ``dist:2`` with
 #: deterministic scheduling and a scripted mid-map kill of worker 1.
@@ -111,6 +125,50 @@ def collect_golden() -> dict:
     }
 
 
+def collect_streamed_golden() -> dict:
+    """Run the pinned workload streamed through the simulator in
+    batches; return the fixture doc.  Besides the job's timings and
+    kernel counters it pins each batch's upload and Map cycles and the
+    pipelined (overlapped) upload+Map total."""
+    from repro.framework.streaming import run_streamed_job
+
+    w = WordCount()
+    inp = w.generate(WORKLOAD["size"], seed=WORKLOAD["seed"],
+                     scale=WORKLOAD["scale"])
+    spec = w.spec_for_size(WORKLOAD["size"], seed=WORKLOAD["seed"],
+                           scale=WORKLOAD["scale"])
+    cfg = DeviceConfig.small(WORKLOAD["mps"])
+    runs = {}
+    for name, knobs in STREAMED_RUNS.items():
+        strategy = knobs["strategy"]
+        res = run_streamed_job(
+            spec, inp, mode=MemoryMode(knobs["mode"]),
+            strategy=None if strategy is None else ReduceStrategy(strategy),
+            config=cfg,
+            threads_per_block=WORKLOAD["threads_per_block"],
+            backend="sim", **STREAMED_BATCHING)
+        runs[name] = dict(
+            _entry(res.job),
+            batches=[{"records": b.records,
+                      "upload_cycles": b.upload_cycles,
+                      "map_cycles": b.map_cycles} for b in res.batches],
+            pipelined_map_io=res.pipelined_map_io,
+            serial_map_io=res.serial_map_io,
+        )
+    return {
+        "description": "Golden streamed sim traces: per-batch upload "
+                       "and Map cycles, the pipelined total, phase "
+                       "timings and kernel counters of the pinned "
+                       "workload in overlapped batches.  Regenerate "
+                       "with scripts/gen_golden_traces.py only for an "
+                       "intended timing-model change, and review the "
+                       "diff.",
+        "workload": dict(WORKLOAD, **STREAMED_BATCHING),
+        "input_records": len(inp),
+        "runs": runs,
+    }
+
+
 def collect_dist_golden() -> dict:
     """Run the pinned fault-injected dist job; return the fixture doc.
 
@@ -168,6 +226,11 @@ def main() -> int:
         fh.write("\n")
     print(f"wrote {FIXTURE} ({len(doc['runs'])} runs, "
           f"{doc['input_records']} input records)")
+    streamed_doc = collect_streamed_golden()
+    with open(STREAMED_FIXTURE, "w", encoding="utf-8") as fh:
+        json.dump(streamed_doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {STREAMED_FIXTURE} ({len(streamed_doc['runs'])} runs)")
     dist_doc = collect_dist_golden()
     with open(DIST_FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(dist_doc, fh, indent=2, sort_keys=True)

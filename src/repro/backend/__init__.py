@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from ..config import SHARDED_BACKENDS, resolve
 from .base import ExecutionBackend
-from .core import execute_plan, execute_streamed
+from .core import execute_plan
 from .distributed import DistributedBackend
 from .fast import ColumnarBackend, FastBackend
 from .plan import ENGINE_MARS, ENGINE_SHARED, BatchPolicy, JobPlan
@@ -80,6 +80,5 @@ __all__ = [
     "JobPlan",
     "SimBackend",
     "execute_plan",
-    "execute_streamed",
     "get_backend",
 ]

@@ -2,9 +2,10 @@
 
 A backend supplies the five phase primitives the execution core
 (:mod:`repro.backend.core`) sequences into a job: charged input
-upload, Map, Shuffle, Reduce, and charged output download — plus the
-uncharged host/device conversions the streamed driver needs between
-its batched Map and the Shuffle.
+upload, Map, Shuffle, Reduce, and charged output download — plus a
+record count, and the streamed sink (create, absorb a batch's Map
+output, stage it as the Map output handle, uncharged) that a batched
+plan's Map stage feeds instead of one Map output.
 
 The main implementations:
 
@@ -38,7 +39,7 @@ from .plan import JobPlan
 class ExecutionBackend(abc.ABC):
     """Phase primitives one execution substrate must provide."""
 
-    #: Registry name ("sim", "fast").
+    #: Registry name ("sim", "fast", "columnar", "dist").
     name: str = "?"
 
     # -- lifecycle -----------------------------------------------------
@@ -69,17 +70,12 @@ class ExecutionBackend(abc.ABC):
         """Retire a phase output to the host; returns
         ``(record_set, download_cycles)``."""
 
-    # -- uncharged conversions (streamed driver) ------------------------
+    # -- uncharged bookkeeping ------------------------------------------
 
     @abc.abstractmethod
-    def to_host(self, ctx: Any, handle: Any) -> KeyValueSet:
-        """Read a phase output back without charging a transfer."""
-
-    @abc.abstractmethod
-    def stage_intermediate(self, ctx: Any, kvs: KeyValueSet, label: str
-                           ) -> Any:
-        """Re-stage a host-resident intermediate without charging a
-        transfer (the streamed driver's pre-Shuffle hop)."""
+    def stage_intermediate(self, ctx: Any, sink: Any, label: str) -> Any:
+        """Stage a filled streamed sink as the Map output handle the
+        rest of the job consumes, without charging a transfer."""
 
     @abc.abstractmethod
     def record_count(self, ctx: Any, handle: Any) -> int:
@@ -106,10 +102,10 @@ class ExecutionBackend(abc.ABC):
         """Run Reduce over the grouped sets; returns ``(out, stats)``."""
 
     # -- streamed sink ---------------------------------------------------
-    # The streamed driver accumulates batched Map output into a "sink"
-    # between Map and Shuffle.  The defaults reproduce the historical
-    # behaviour exactly (an unbounded host record set); store-aware
-    # backends override them to route batches into a budgeted
+    # A batched plan's Map stage accumulates each batch's Map output
+    # into a "sink".  The defaults keep an unbounded host record set
+    # of host-resident handles; the sim backend absorbs device
+    # handles, and store-aware backends route batches into a budgeted
     # :class:`~repro.store.base.IntermediateStore` instead.
 
     def stream_sink(self, ctx: Any) -> Any:
@@ -118,12 +114,7 @@ class ExecutionBackend(abc.ABC):
 
     def absorb_batch(self, ctx: Any, sink: Any, handle: Any) -> None:
         """Fold one batch's Map output handle into the sink."""
-        for k, v in self.to_host(ctx, handle):
-            sink.append(k, v)
-
-    def sink_count(self, ctx: Any, sink: Any) -> int:
-        """Records accumulated in the sink so far."""
-        return len(sink)
+        sink.extend(handle)
 
     # -- checking -------------------------------------------------------
 

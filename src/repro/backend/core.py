@@ -5,13 +5,10 @@ workflow was re-implemented four times (``run_job``,
 ``run_streamed_job``, ``IterativeJob.run``, ``run_mars_job``); PR 1
 had to thread the tracer through each copy by hand.  Now each driver
 lowers its arguments to a :class:`~repro.backend.plan.JobPlan` and
-calls one of the two executors here:
-
-* :func:`execute_plan` — single-shot jobs (shared-memory framework
-  *and* the Mars baseline, which differs only in its Map/Reduce phase
-  implementations and labels);
-* :func:`execute_streamed` — batched Map with optional
-  transfer/compute overlap (Section III-A), then the shared tail.
+calls :func:`execute_plan`, whose one sequencer runs the shared-memory
+framework and the Mars baseline (which differs only in its Map/Reduce
+phases and labels), single-shot or streamed: a batched plan (Section
+III-A) only feeds its Map stage batch by batch.
 
 Observability (spans, phase timings, kernel events) lives here once:
 a future hook lands in one place, not four.
@@ -22,7 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from ..framework.host import host_download_cost
 from ..framework.job import JobResult, PhaseTimings
 from ..framework.records import KeyValueSet
 from ..gpu.stats import KernelStats
@@ -111,221 +107,128 @@ def execute_plan(
     inp: KeyValueSet,
     backend: ExecutionBackend,
     tracer: Tracer | None = None,
-) -> JobResult:
-    """Run one single-shot job on ``backend``.
+):
+    """Run one job on ``backend``.
 
-    The phase sequence, span structure and timing attribution are
-    exactly those of the pre-refactor drivers; the backend supplies
-    the phase primitives.
+    Returns a :class:`JobResult`, or for a batched plan a
+    :class:`~repro.framework.streaming.StreamedResult` (the job plus
+    its batch pipeline trace).  The phase sequence, span structure and
+    timing attribution are exactly those of the pre-refactor drivers;
+    the backend supplies the phase primitives.
     """
-    if plan.batching is not None:
-        raise ValueError("execute_plan does not take a batched plan; "
-                         "use execute_streamed")
     tr = tracer if tracer is not None else NULL_TRACER
     wall_t0 = time.perf_counter()
     ctx = backend.open(plan)
     try:
-        result = _execute_plan(plan, inp, backend, ctx, tr)
+        result, streamed = _execute(plan, inp, backend, ctx, tr)
     finally:
         backend.close(ctx)
     _apply_tuned(ctx.plan, result)
     ledger.record_run(ctx.plan, inp, backend, result,
-                      wall_s=time.perf_counter() - wall_t0)
-    return result
+                      wall_s=time.perf_counter() - wall_t0,
+                      streamed=plan.batching is not None)
+    return result if streamed is None else streamed
 
 
-def _execute_plan(plan, inp, backend, ctx, tr) -> JobResult:
+def _execute(plan, inp, backend, ctx, tr):
+    """The phase sequencer: ``(job result, streamed result or None)``."""
     if plan.mode == "auto":
         plan = _resolve_modes(ctx, plan, inp)
         ctx.plan = plan
     timings = PhaseTimings()
+    result = JobResult(spec_name=plan.spec.name, mode=plan.result_mode,
+                       strategy=plan.strategy, output=KeyValueSet(),
+                       intermediate_count=0, timings=timings)
 
     with tr.span(f"job:{plan.spec.name}", **plan.job_attrs(len(inp))):
-        # ---- input upload -------------------------------------------------
+        intermediate, streamed = _map_stage(plan, inp, backend, ctx, tr,
+                                            result)
+        result.intermediate_count = backend.record_count(ctx, intermediate)
+        final = intermediate  # a Map-only job downloads the Map output
+
+        if plan.strategy is not None:
+            # ---- Shuffle --------------------------------------------------
+            with tr.span("shuffle", **plan.shuffle_attrs()) as shuffle_span:
+                grouped, timings.shuffle, n_groups = backend.shuffle_phase(
+                    ctx, intermediate, tr, plan.shuffle_label()
+                )
+                if shuffle_span is not None and n_groups is not None:
+                    # A spilling shuffle streams its groups and does not
+                    # know the count until Reduce drains them.
+                    shuffle_span.attrs["groups"] = n_groups
+                tr.advance(timings.shuffle)
+
+            # ---- Reduce ---------------------------------------------------
+            with tr.span("reduce", **plan.reduce_attrs()):
+                final, result.reduce_stats = backend.reduce_phase(
+                    ctx, grouped, tr, include_grid=plan.batching is None
+                )
+                timings.reduce = result.reduce_stats.cycles
+
+        # ---- output download ---------------------------------------------
+        with tr.span("io_out"):
+            result.output, timings.io_out = backend.download_output(ctx, final)
+            tr.advance(timings.io_out)
+
+        _apply_telemetry(backend, ctx, result)
+        _apply_check(backend, ctx, tr, result)
+    return result, streamed
+
+
+def _map_stage(plan, inp, backend, ctx, tr, result: JobResult):
+    """Upload and Map, filling ``result``'s Map stats and ``io_in``/``map``
+    timings; returns ``(intermediate handle, streamed result or None)``.
+
+    A batched plan uploads and maps each batch into the backend's sink,
+    then stages the sink as an ordinary Map output.  Batch spans are
+    serial on the job clock even under overlap; the pipelined
+    upload/Map total is attributed ``io_in`` = sum of uploads, ``map``
+    = the rest.
+    """
+    timings = result.timings
+    if plan.batching is None:
         with tr.span("io_in"):
             d_in, timings.io_in = backend.upload_input(
                 ctx, inp, plan.input_label()
             )
             tr.advance(timings.io_in)
-
-        # ---- Map ----------------------------------------------------------
         with tr.span("map", **plan.map_attrs()):
-            intermediate, map_stats = backend.map_phase(ctx, d_in, tr)
-            timings.map = map_stats.cycles
-            inter_count = backend.record_count(ctx, intermediate)
+            intermediate, result.map_stats = backend.map_phase(ctx, d_in, tr)
+            timings.map = result.map_stats.cycles
+        return intermediate, None
 
-        if plan.strategy is None:
-            with tr.span("io_out"):
-                output, timings.io_out = backend.download_output(
-                    ctx, intermediate
-                )
-                tr.advance(timings.io_out)
-            result = JobResult(
-                spec_name=plan.spec.name,
-                mode=plan.result_mode,
-                strategy=None,
-                output=output,
-                intermediate_count=inter_count,
-                timings=timings,
-                map_stats=map_stats,
-            )
-            _apply_telemetry(backend, ctx, result)
-            _apply_check(backend, ctx, tr, result)
-            return result
-
-        # ---- Shuffle ------------------------------------------------------
-        with tr.span("shuffle", **plan.shuffle_attrs()) as shuffle_span:
-            grouped, timings.shuffle, n_groups = backend.shuffle_phase(
-                ctx, intermediate, tr, plan.shuffle_label()
-            )
-            if shuffle_span is not None and n_groups is not None:
-                # A spilling shuffle streams its groups and does not
-                # know the count until Reduce drains them.
-                shuffle_span.attrs["groups"] = n_groups
-            tr.advance(timings.shuffle)
-
-        # ---- Reduce -------------------------------------------------------
-        with tr.span("reduce", **plan.reduce_attrs()):
-            final, red_stats = backend.reduce_phase(ctx, grouped, tr)
-            timings.reduce = red_stats.cycles
-
-        # ---- output download ---------------------------------------------
-        with tr.span("io_out"):
-            output, timings.io_out = backend.download_output(ctx, final)
-            tr.advance(timings.io_out)
-
-        result = JobResult(
-            spec_name=plan.spec.name,
-            mode=plan.result_mode,
-            strategy=plan.strategy,
-            output=output,
-            intermediate_count=inter_count,
-            timings=timings,
-            map_stats=map_stats,
-            reduce_stats=red_stats,
-        )
-        _apply_telemetry(backend, ctx, result)
-        _apply_check(backend, ctx, tr, result)
-    return result
-
-
-def execute_streamed(
-    plan: JobPlan,
-    inp: KeyValueSet,
-    backend: ExecutionBackend,
-    tracer: Tracer | None = None,
-):
-    """Run a job with the input streamed through the device in batches.
-
-    Returns a :class:`~repro.framework.streaming.StreamedResult`.  The
-    batch pipeline is accounted exactly as before: batch spans are
-    serial on the job clock even under overlap, and the pipelined
-    upload/Map total is attributed ``io_in`` = sum of uploads, ``map``
-    = the rest.
-    """
-    if plan.batching is None:
-        raise ValueError("execute_streamed needs a plan with batching")
-    tr = tracer if tracer is not None else NULL_TRACER
-    wall_t0 = time.perf_counter()
-    ctx = backend.open(plan)
-    try:
-        result = _execute_streamed(plan, inp, backend, ctx, tr)
-    finally:
-        backend.close(ctx)
-    _apply_tuned(ctx.plan, result.job)
-    ledger.record_run(ctx.plan, inp, backend, result.job,
-                      wall_s=time.perf_counter() - wall_t0, streamed=True)
-    return result
-
-
-def _execute_streamed(plan, inp, backend, ctx, tr):
     # Local import: streaming.py's front-end imports this module.
-    from ..framework.streaming import (
-        BatchTrace,
-        StreamedResult,
-        split_batches,
-    )
+    from ..framework.streaming import BatchTrace, StreamedResult, split_batches
 
-    if plan.mode == "auto":
-        plan = _resolve_modes(ctx, plan, inp)
-        ctx.plan = plan
-    name = plan.spec.name
-
-    with tr.span(f"job:{name}", **plan.job_attrs(len(inp))):
-        batches = split_batches(inp, plan.batching.n_batches)
-        traces: list[BatchTrace] = []
-        # The sink is a plain host record set by default; store-aware
-        # backends may hand back a budgeted spill store instead.
-        intermediate = backend.stream_sink(ctx)
-        merged_stats = KernelStats()
-        with tr.span("map_stream") as stream_span:
-            for bi, batch in enumerate(batches):
-                with tr.span(f"batch[{bi}]", records=len(batch)):
-                    d_in, up_cycles = backend.upload_input(
-                        ctx, batch, plan.input_label(bi)
-                    )
-                    with tr.span("upload"):
-                        tr.advance(up_cycles)
-                    out_h, st = backend.map_phase(ctx, d_in, tr, batch=bi)
-                    merged_stats = merged_stats.merge(st)
-                    backend.absorb_batch(ctx, intermediate, out_h)
-                    traces.append(BatchTrace(
-                        records=len(batch), upload_cycles=up_cycles,
-                        map_cycles=st.cycles, map_stats=st))
-
-        timings = PhaseTimings()
-        inter_count = backend.sink_count(ctx, intermediate)
-        result = StreamedResult(
-            job=JobResult(
-                spec_name=name, mode=plan.mode, strategy=plan.strategy,
-                output=intermediate, intermediate_count=inter_count,
-                timings=timings, map_stats=merged_stats,
-            ),
-            batches=traces,
-            overlapped=plan.batching.overlap,
-        )
-        pipeline = (
-            result.pipelined_map_io if plan.batching.overlap
-            else result.serial_map_io
-        )
-        if stream_span is not None:
-            stream_span.attrs["serial_map_io"] = result.serial_map_io
-            stream_span.attrs["pipelined_map_io"] = result.pipelined_map_io
-            stream_span.attrs["overlap_saving"] = result.overlap_saving
-        # Attribute the pipeline's transfer share to io_in and the rest to map.
-        timings.io_in = sum(b.upload_cycles for b in traces)
-        timings.map = max(0.0, pipeline - timings.io_in)
-
-        if plan.strategy is None:
-            with tr.span("io_out"):
-                timings.io_out = host_download_cost(
-                    intermediate, ctx.config
-                ).cycles
-                tr.advance(timings.io_out)
-            _apply_telemetry(backend, ctx, result.job)
-            _apply_check(backend, ctx, tr, result.job)
-            return result
-
-        with tr.span("shuffle", **plan.shuffle_attrs()) as shuffle_span:
-            d_inter = backend.stage_intermediate(
-                ctx, intermediate, plan.intermediate_label()
-            )
-            grouped, timings.shuffle, n_groups = backend.shuffle_phase(
-                ctx, d_inter, tr, plan.shuffle_label()
-            )
-            if shuffle_span is not None and n_groups is not None:
-                shuffle_span.attrs["groups"] = n_groups
-            tr.advance(timings.shuffle)
-        with tr.span("reduce", **plan.reduce_attrs()):
-            final, red_stats = backend.reduce_phase(
-                ctx, grouped, tr, include_grid=False
-            )
-            timings.reduce = red_stats.cycles
-        with tr.span("io_out"):
-            output, timings.io_out = backend.download_output(ctx, final)
-            tr.advance(timings.io_out)
-        result.job.output = output
-        result.job.reduce_stats = red_stats
-        _apply_telemetry(backend, ctx, result.job)
-        _apply_check(backend, ctx, tr, result.job)
-        return result
+    streamed = StreamedResult(job=result, batches=[],
+                              overlapped=plan.batching.overlap)
+    # The sink is a plain host record set by default; store-aware
+    # backends may hand back a budgeted spill store instead.
+    sink = backend.stream_sink(ctx)
+    map_stats = KernelStats()
+    with tr.span("map_stream") as stream_span:
+        for bi, batch in enumerate(
+                split_batches(inp, plan.batching.n_batches)):
+            with tr.span(f"batch[{bi}]", records=len(batch)):
+                d_in, up_cycles = backend.upload_input(
+                    ctx, batch, plan.input_label(bi)
+                )
+                with tr.span("upload"):
+                    tr.advance(up_cycles)
+                out_h, st = backend.map_phase(ctx, d_in, tr, batch=bi)
+                map_stats = map_stats.merge(st)
+                backend.absorb_batch(ctx, sink, out_h)
+                streamed.batches.append(BatchTrace(
+                    records=len(batch), upload_cycles=up_cycles,
+                    map_cycles=st.cycles, map_stats=st))
+    result.map_stats = map_stats
+    pipeline = (streamed.pipelined_map_io if plan.batching.overlap
+                else streamed.serial_map_io)
+    if stream_span is not None:
+        stream_span.attrs["serial_map_io"] = streamed.serial_map_io
+        stream_span.attrs["pipelined_map_io"] = streamed.pipelined_map_io
+        stream_span.attrs["overlap_saving"] = streamed.overlap_saving
+    timings.io_in = sum(b.upload_cycles for b in streamed.batches)
+    timings.map = max(0.0, pipeline - timings.io_in)
+    return (backend.stage_intermediate(ctx, sink, plan.intermediate_label()),
+            streamed)

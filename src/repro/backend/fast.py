@@ -139,11 +139,8 @@ class FastBackend(ExecutionBackend):
     def download_output(self, ctx, handle):
         return handle, host_download_cost(handle, ctx.config).cycles
 
-    def to_host(self, ctx, handle):
-        return handle
-
-    def stage_intermediate(self, ctx, kvs, label):
-        return kvs
+    def stage_intermediate(self, ctx, sink, label):
+        return sink
 
     def record_count(self, ctx, handle) -> int:
         return len(handle)
@@ -365,7 +362,7 @@ class FastBackend(ExecutionBackend):
 
     def absorb_batch(self, ctx, sink, handle) -> None:
         if isinstance(sink, IntermediateStore):
-            sink.emit_many(self.to_host(ctx, handle))
+            sink.emit_many(handle)
         else:
             super().absorb_batch(ctx, sink, handle)
 

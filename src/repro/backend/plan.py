@@ -6,7 +6,9 @@ Every driver front-end (``run_job``, ``run_streamed_job``,
 configuration + batching policy — and hands it to
 :func:`repro.backend.core.execute_plan`, which walks the paper's phase
 sequence (upload -> Map -> Shuffle -> Reduce -> download) against a
-pluggable :class:`~repro.backend.base.ExecutionBackend`.
+pluggable :class:`~repro.backend.base.ExecutionBackend`.  ``batching``
+is the only switch between a single-shot and a streamed job: it
+changes how the Map stage is fed and nothing after it.
 
 The plan also centralises the presentation details that used to be
 copy-pasted per driver: staging labels, tracer span attributes, and
@@ -110,12 +112,14 @@ class JobPlan:
         ``threads_per_block`` are only legal alongside it: they are the
         knobs the tuner fills in.
 
-        It also resolves every :mod:`repro.config` knob, once per job:
-        a bad setting from any source raises here, before a backend
-        opens or a worker starts.
+        It also validates the batch policy and resolves every
+        :mod:`repro.config` knob, once per job: a bad setting from any
+        source raises here, before a backend opens or a worker starts.
         """
         if self.engine not in (ENGINE_SHARED, ENGINE_MARS):
             raise FrameworkError(f"unknown engine {self.engine!r}")
+        if self.batching is not None:
+            self.batching.validate()
         settings = self.settings or resolve(
             dict(backend=self.backend, check=self.check, store=self.store,
                  memory_budget=self.memory_budget),

@@ -77,11 +77,11 @@ class SimBackend(ExecutionBackend):
         out, cost = retire_output(handle, ctx.config)
         return out, cost.cycles
 
-    def to_host(self, ctx, handle):
-        return handle.download()
+    def absorb_batch(self, ctx, sink, handle):
+        sink.extend(handle.download())
 
-    def stage_intermediate(self, ctx, kvs, label):
-        return DeviceRecordSet.upload(ctx.dev.gmem, kvs, label=label)
+    def stage_intermediate(self, ctx, sink, label):
+        return DeviceRecordSet.upload(ctx.dev.gmem, sink, label=label)
 
     def record_count(self, ctx, handle) -> int:
         return handle.count

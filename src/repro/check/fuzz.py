@@ -4,15 +4,16 @@ Property-based cross-checking for the whole stack: each case draws a
 tiny random workload (map kernel shape, key distribution, record
 count), a memory mode, a reduce strategy and tuning knobs, then runs
 it on the simulator *with the sanitizer in strict mode*, on the fast
-functional backend (three times: once on the default memory store,
-once on the spill store under a tiny forced budget, and once through
-the columnar execution path under a small batch width), on the
-distributed backend (``dist:2``) with the in-process fallback off,
-and through the sequential CPU oracle
-(:func:`repro.cpu_ref.reference.reference_job`).  All outputs must agree after order normalisation — the alternate
-store policy, the columnar path and the distributed run must match
-the scalar fast run byte for byte — and the sanitizer must report
-nothing.
+functional backend (five times: once on the default memory store,
+once on the spill store under a tiny forced budget, once through the
+columnar execution path under a small batch width, and streamed in
+three batches on each of the two stores), on the distributed backend
+(``dist:2``) with the in-process fallback off, and through the
+sequential CPU oracle (:func:`repro.cpu_ref.reference.reference_job`).
+All outputs must agree after order normalisation — the alternate
+store policy, the columnar path, the streamed runs and the
+distributed run must match the scalar fast run byte for byte — and
+the sanitizer must report nothing.
 
 The fuzz kernels have no batch implementations, so the columnar leg
 exercises exactly the hard part: array-shuffle grouping plus the
@@ -57,6 +58,7 @@ from ..framework.api import MapReduceSpec
 from ..framework.job import run_job
 from ..framework.modes import MemoryMode, ReduceStrategy
 from ..framework.records import KeyValueSet
+from ..framework.streaming import run_streamed_job
 from ..gpu.config import DeviceConfig
 
 #: Input sizes, weighted toward the degenerate end.
@@ -213,11 +215,12 @@ class FuzzFailure:
 
 
 def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
-    """Run one case across all five executors; None means it passed.
+    """Run one case across all seven executors; None means it passed.
 
     The fuzz kernels emit only u32 integer values, so every backend
     must be byte-exact against the oracle after order normalisation;
-    the distributed backend must also be byte-identical to fast.
+    every other fast-family run (spill store, dist, columnar, streamed)
+    must also be byte-identical to the scalar fast run.
     """
     from ..backend.distributed import DistributedBackend
     from ..backend.fast import FastBackend
@@ -260,6 +263,16 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
     if col.output != fast.output:
         return (f"columnar output diverges from fast "
                 f"({len(col.output)} vs {len(fast.output)} records)")
+    # Batched Map (paper Section III-A) into each store's sink: only
+    # when data moves changes, so the bytes must not.
+    for store, budget in (("memory", None), ("spill", 256)):
+        streamed = run_streamed_job(spec, inp, n_batches=3, backend="fast",
+                                    store=store, memory_budget=budget,
+                                    **common)
+        if streamed.job.output != fast.output:
+            return (f"streamed {store}-store output diverges from fast "
+                    f"({len(streamed.job.output)} vs {len(fast.output)} "
+                    f"records)")
     return None
 
 

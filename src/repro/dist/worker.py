@@ -83,9 +83,14 @@ def worker_main(port: int, worker_id: int,
     """Connect back to the coordinator and serve tasks until told to
     shut down, the connection dies, or a scripted fault trips."""
     state = _FaultState(tuple(faults))
+    # A bare connect: create_connection's getaddrinfo would pay the
+    # resolver's first-call set-up again in every freshly forked worker.
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        sock.settimeout(10)
+        sock.connect(("127.0.0.1", port))
     except OSError:
+        sock.close()
         return
     sock.settimeout(None)
     try:

@@ -20,7 +20,8 @@ the test suite): batching only changes *when* data moves.
 ``run_streamed_job`` is a thin front-end since the backend refactor:
 it lowers to a :class:`~repro.backend.plan.JobPlan` with a
 :class:`~repro.backend.plan.BatchPolicy` and hands it to
-:func:`repro.backend.core.execute_streamed`.
+:func:`repro.backend.core.execute_plan`, the same sequencer a
+single-shot job runs — only its Map stage loops over the batches.
 """
 
 from __future__ import annotations
@@ -86,14 +87,9 @@ def split_batches(inp: KeyValueSet, n_batches: int) -> list[KeyValueSet]:
         raise FrameworkError("n_batches must be positive")
     n = len(inp)
     per = max(1, -(-n // n_batches))
-    out: list[KeyValueSet] = []
-    for start in range(0, n, per):
-        batch = KeyValueSet()
-        for i in range(start, min(start + per, n)):
-            k, v = inp[i]
-            batch.append(k, v)
-        out.append(batch)
-    return out
+    keys, values = inp.keys, inp.values
+    return [KeyValueSet.from_lists(keys[lo:lo + per], values[lo:lo + per])
+            for lo in range(0, n, per)]
 
 
 def run_streamed_job(
@@ -129,7 +125,7 @@ def run_streamed_job(
     """
     spec.validate()
     # Local import: repro.backend imports this module for StreamedResult.
-    from ..backend import BatchPolicy, JobPlan, execute_streamed, get_backend
+    from ..backend import BatchPolicy, JobPlan, execute_plan, get_backend
 
     plan = JobPlan(
         spec=spec,
@@ -144,5 +140,5 @@ def run_streamed_job(
         store=store,
         memory_budget=memory_budget,
     ).normalised()
-    return execute_streamed(plan, inp,
-                            get_backend(plan.settings["backend"]), tracer)
+    return execute_plan(plan, inp, get_backend(plan.settings["backend"]),
+                        tracer)

@@ -1,8 +1,7 @@
 """Persistent run ledger: one JSONL record per executed job.
 
-Every :func:`repro.backend.core.execute_plan` /
-:func:`~repro.backend.core.execute_streamed` invocation appends a
-:func:`build_record` line to ``.repro/runs.jsonl`` — workload, mode,
+Every :func:`repro.backend.core.execute_plan` invocation (single-shot
+or streamed) appends a :func:`build_record` line to ``.repro/runs.jsonl`` — workload, mode,
 strategy, backend, worker count, input size and digest, simulated
 cycles, wall seconds, a KernelStats digest, analysis-cache hit rate,
 check-finding count, straggler skew, intermediate-store spill

@@ -9,12 +9,10 @@ from repro.backend import (
     FastBackend,
     JobPlan,
     SimBackend,
-    execute_plan,
     get_backend,
 )
 from repro.errors import FrameworkError
 from repro.framework import (
-    KeyValueSet,
     MapReduceSpec,
     MemoryMode,
     ReduceStrategy,
@@ -90,11 +88,3 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_BACKEND", "")
         assert isinstance(get_backend(None), SimBackend)
 
-
-class TestExecutePlanGuards:
-    def test_batched_plan_rejected(self):
-        inp = KeyValueSet()
-        inp.append(b"a", b"b")
-        plan = JobPlan(spec=_spec(), batching=BatchPolicy(2)).normalised()
-        with pytest.raises(ValueError, match="execute_streamed"):
-            execute_plan(plan, inp, get_backend("fast"))

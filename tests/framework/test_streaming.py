@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro.backend import FastBackend
 from repro.cpu_ref import normalised, reference_job
 from repro.errors import FrameworkError
 from repro.framework import KeyValueSet, MemoryMode, ReduceStrategy, run_job
@@ -111,6 +112,21 @@ class TestStreamedJob:
         s = run_streamed_job(spec, KeyValueSet(), config=CFG)
         assert len(s.job.output) == 0
         assert s.batches == []
+
+    @pytest.mark.parametrize("n_batches", [0, -2])
+    def test_bad_batch_count_rejected_before_open(self, n_batches):
+        class CountingBackend(FastBackend):
+            opens = 0
+
+            def open(self, plan):
+                CountingBackend.opens += 1
+                return super().open(plan)
+
+        spec = MapReduceSpec(name="dup", map_record=dup_map)
+        with pytest.raises(FrameworkError, match="n_batches"):
+            run_streamed_job(spec, make_input(8), n_batches=n_batches,
+                             backend=CountingBackend())
+        assert CountingBackend.opens == 0
 
     def test_single_batch_equals_job_shape(self):
         spec = MapReduceSpec(name="dup", map_record=dup_map)

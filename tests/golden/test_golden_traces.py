@@ -21,6 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent.parent
 FIXTURE = Path(__file__).resolve().parent / "wordcount_small.json"
 DIST_FIXTURE = Path(__file__).resolve().parent / "dist_wordcount_small.json"
+STREAMED_FIXTURE = (Path(__file__).resolve().parent
+                    / "streamed_wordcount_small.json")
 
 _spec = importlib.util.spec_from_file_location(
     "gen_golden_traces", ROOT / "scripts" / "gen_golden_traces.py")
@@ -50,6 +52,39 @@ def test_all_modes_pinned(golden):
 
 def test_input_identical(golden, current):
     assert current["input_records"] == golden["input_records"]
+
+
+class TestStreamed:
+    """The batched Map pipeline (paper Section III-A) is pinned as
+    well: ``streamed_wordcount_small.json`` holds each batch's upload
+    and Map cycles, the overlapped total and the job's counters for
+    the pinned workload in three batches, with and without Reduce."""
+
+    @pytest.fixture(scope="class")
+    def streamed_golden(self) -> dict:
+        with open(STREAMED_FIXTURE, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.fixture(scope="class")
+    def streamed_current(self) -> dict:
+        return gen.collect_streamed_golden()
+
+    def test_fixture_matches_pinned_workload(self, streamed_golden):
+        assert streamed_golden["workload"] == dict(
+            gen.WORKLOAD, **gen.STREAMED_BATCHING)
+        assert sorted(streamed_golden["runs"]) == sorted(gen.STREAMED_RUNS)
+
+    @pytest.mark.parametrize("run", sorted(gen.STREAMED_RUNS))
+    def test_streamed_trace_unchanged(self, streamed_golden,
+                                      streamed_current, run):
+        want = streamed_golden["runs"][run]
+        got = streamed_current["runs"][run]
+        assert sorted(got) == sorted(want)
+        for field, pinned in want.items():
+            assert got[field] == pinned, (
+                f"{run}: {field} drifted — if intended, regenerate the "
+                f"fixture with scripts/gen_golden_traces.py and review "
+                f"the diff")
 
 
 class TestDistSchedule:
