@@ -18,9 +18,9 @@ share) shows up directly.  Times are best-of-``--repeats``
    a foreign snapshot is only a backstop against a collapse.
 2. **fast/columnar** on small kmeans (at least
    ``KMEANS_COLUMNAR_FLOOR``) and small wordcount (at least
-   ``WORDCOUNT_COLUMNAR_FLOOR``: columnar is never slower than scalar
-   on ragged keys).  Scalar ``fast`` is measured once per workload and
-   shared with check 1.
+   ``WORDCOUNT_COLUMNAR_FLOOR``: columnar beats scalar on ragged
+   keys).  Scalar ``fast`` is measured once per workload and shared
+   with check 1.
 3. **autotune**: ``BENCH_autotune.json`` (written by ``repro-bench
    autotune``) must report both gates true and its numbers must bear
    them out: every tuned case within the per-case bar of the best
@@ -59,9 +59,10 @@ LEDGER_TOLERANCE = 0.25
 COMMITTED_TOLERANCE = 0.75
 #: Minimum fast/columnar CPU-time ratio on small kmeans.
 KMEANS_COLUMNAR_FLOOR = 5.0
-#: Minimum fast/columnar CPU-time ratio on small wordcount: the
-#: columnar path must never lose to scalar on ragged keys.
-WORDCOUNT_COLUMNAR_FLOOR = 1.0
+#: Minimum fast/columnar CPU-time ratio on small wordcount.  Twenty
+#: ``--repeats 3`` measurements read 1.73-4.72 (median 3.03; 2-vCPU
+#: x86, Python 3.11): the floor sits 1.3x below the lowest of them.
+WORDCOUNT_COLUMNAR_FLOOR = 1.3
 
 #: One warm-up job, then best-of-N CPU seconds, in a fresh interpreter
 #: so measurements cannot interfere through shared heap state.  The

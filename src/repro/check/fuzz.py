@@ -15,6 +15,13 @@ store policy, the columnar path, the streamed runs and the
 distributed run must match the scalar fast run byte for byte — and
 the sanitizer must report nothing.
 
+Every reduce kind but one folds with ``count`` or ``sum``, which give
+the same bytes for any order of a group's values.  The ``ordered``
+kind (TR only, no ``combine``) folds them into a position-weighted
+hash, so on every executor that promises emission order within a
+group — the oracle and the whole fast family, not the simulator — a
+reordered group fails the byte-identity checks.
+
 The fuzz kernels have no batch implementations, so the columnar leg
 exercises exactly the hard part: array-shuffle grouping plus the
 per-batch scalar fallback, across ragged keys, empty inputs and burst
@@ -70,7 +77,7 @@ _KEY_POOLS = (1, 1, 2, 5, "unique")
 _MODES = tuple(MemoryMode)
 _STRATS = (None, ReduceStrategy.TR, ReduceStrategy.BR)
 
-_KINDS = ("identity", "null", "filter", "burst", "count", "sum")
+_KINDS = ("identity", "null", "filter", "burst", "count", "sum", "ordered")
 
 
 def _u32(n: int) -> bytes:
@@ -82,8 +89,9 @@ def _from_u32(b: bytes) -> int:
 
 
 # ---- map/reduce kernels ----------------------------------------------------
-# All values are 4-byte little-endian u32s so reductions are byte-exact
-# integer sums (no float ordering concerns).
+# All values are little-endian u32s (4 bytes; 1 to 4 for the ordered
+# kind) so reductions are byte-exact integer folds (no float ordering
+# concerns).
 
 def _map_identity(key, value, emit, const):
     emit(key.to_bytes(), value.to_bytes())
@@ -105,12 +113,30 @@ def _map_burst(key, value, emit, const):
         emit(k, _u32(_from_u32(v) + i))
 
 
+def _map_ragged_burst(key, value, emit, const):
+    # 1- to 4-byte values: the columnar group-by gathers them as lists.
+    k = key.to_bytes()
+    v = _from_u32(value.to_bytes())
+    for i in range(3):
+        emit(k, _u32(v + i)[:1 + (v + i) % 4])
+
+
 def _reduce_count(key, values, emit, const):
     emit(key.to_bytes(), _u32(len(values)))
 
 
 def _reduce_sum(key, values, emit, const):
     emit(key.to_bytes(), _u32(sum(_from_u32(v.to_bytes()) for v in values)))
+
+
+def _reduce_ordered(key, values, emit, const):
+    # A position-weighted hash: any reordering of a group's values
+    # (reversal, a swapped pair) changes the bytes, unlike count/sum.
+    h = len(values)
+    for i, v in enumerate(values, 1):
+        x = _from_u32(v.to_bytes()) + 1
+        h = (h * 0x01000193 + i * x) & 0xFFFFFFFF
+    emit(key.to_bytes(), _u32(h))
 
 
 def _combine_count(a: bytes, b: bytes) -> bytes:
@@ -137,6 +163,7 @@ def _make_spec(kind: str, io_ratio: float | None) -> MapReduceSpec:
         "burst": _map_burst,
         "count": _map_identity,
         "sum": _map_identity,
+        "ordered": _map_ragged_burst,
     }
     kwargs: dict = {}
     if kind == "count":
@@ -145,6 +172,9 @@ def _make_spec(kind: str, io_ratio: float | None) -> MapReduceSpec:
     elif kind == "sum":
         kwargs.update(reduce_record=_reduce_sum,
                       combine=_combine_sum, finalize=_finalize_sum)
+    elif kind == "ordered":
+        # No combine: TR only, and a fold order that BR cannot keep.
+        kwargs.update(reduce_record=_reduce_ordered)
     if io_ratio is not None:
         kwargs["io_ratio"] = io_ratio
     return MapReduceSpec(name=f"fuzz-{kind}", map_record=maps[kind], **kwargs)
@@ -177,6 +207,8 @@ def draw_case(seed: int, index: int) -> FuzzCase:
     kind = rng.choice(_KINDS)
     if kind in ("count", "sum"):
         strategy = rng.choice((ReduceStrategy.TR, ReduceStrategy.BR))
+    elif kind == "ordered":
+        strategy = ReduceStrategy.TR
     else:
         strategy = None
     mode = rng.choice(_MODES)
@@ -220,7 +252,9 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
     The fuzz kernels emit only u32 integer values, so every backend
     must be byte-exact against the oracle after order normalisation;
     every other fast-family run (spill store, dist, columnar, streamed)
-    must also be byte-identical to the scalar fast run.
+    must also be byte-identical to the scalar fast run.  The
+    ``ordered`` kind skips the simulator, which does not keep emission
+    order within a group.
     """
     from ..backend.distributed import DistributedBackend
     from ..backend.fast import FastBackend
@@ -231,10 +265,14 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
 
     common = dict(mode=case.mode, strategy=case.strategy, config=config,
                   threads_per_block=case.threads_per_block)
-    sim = run_job(spec, inp, check="strict", **common)
-    if normalised(sim.output) != want:
-        return (f"sim output diverges from oracle "
-                f"({len(sim.output)} vs {len(want)} records)")
+    if case.kind != "ordered":
+        # The simulator's Map appends through atomics, so a group's
+        # values arrive in schedule order, not emission order: only
+        # order-insensitive reduces compare against the oracle.
+        sim = run_job(spec, inp, check="strict", **common)
+        if normalised(sim.output) != want:
+            return (f"sim output diverges from oracle "
+                    f"({len(sim.output)} vs {len(want)} records)")
     fast = run_job(spec, inp, backend="fast", **common)
     if normalised(fast.output) != want:
         return (f"fast output diverges from oracle "

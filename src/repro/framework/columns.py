@@ -4,14 +4,19 @@
 Mars/paper structure-of-arrays layout (concatenated key bytes +
 concatenated value bytes + per-record directories) but stores it as
 Python lists of ``bytes`` — every per-record operation pays interpreter
-dispatch.  This module materialises the same layout as numpy arrays so
-whole batches move through Map, Shuffle and Reduce with a handful of
-array operations, the way Lu et al.'s Xeon Phi runtime SIMD-vectorizes
-its phases:
+dispatch.  This module materialises the same layout as numpy arrays
+wherever the data vectorizes, so whole batches move through Map,
+Shuffle and Reduce with a handful of array operations, the way Lu et
+al.'s Xeon Phi runtime SIMD-vectorizes its phases:
 
-* :class:`Column` — one side (keys or values) of a record batch: a
-  single concatenated ``blob`` plus an ``int64`` per-record length
-  array (offsets are the cumulative sum, cached on demand);
+* :class:`Column` — one side (keys or values) of a record batch,
+  held in one of two forms and converted to the other lazily: the
+  Python list of ``bytes`` it was built from (ragged data — lines,
+  words — stays a list end to end), or a single concatenated ``blob``
+  plus an ``int64`` per-record length array (fixed-width data, which
+  the batch kernels view as numpy arrays; offsets are the cumulative
+  sum, cached on demand).  ``tolist()`` returns the column's own list,
+  which callers must not mutate;
 * :class:`ColumnBatch` — a key column and a value column of equal
   record count: the unit batch kernels (``spec.map_batch``) consume
   and produce;
@@ -48,30 +53,44 @@ _EMPTY_LENGTHS = np.zeros(0, dtype=np.int64)
 
 
 class Column:
-    """One side of a record batch: ``n`` byte strings, concatenated.
+    """One side of a record batch: ``n`` byte strings.
 
-    ``blob`` holds the payloads back to back; ``lengths`` is an
-    ``int64`` array of per-record byte lengths.  Offsets are always
-    the cumulative sum (records are contiguous by construction —
-    gathers build fresh blobs), computed lazily and cached.
+    A column holds one of two forms and builds the other on first use:
+
+    * the **list** form — a Python ``list`` of ``bytes``, what
+      :meth:`from_list` keeps (a shallow copy, so a caller's later
+      ``append`` cannot change the column) and what a ragged
+      :meth:`take` gathers.  Ragged keys do not vectorize, and on the
+      host a list is already their cheap form: :meth:`tolist`,
+      iteration, :meth:`at` and ``len`` read it directly, with no
+      join and no slicing back out;
+    * the **blob** form — ``blob`` holds the payloads back to back and
+      ``lengths`` is an ``int64`` array of per-record byte lengths,
+      what :meth:`from_array` and :meth:`repeated` build and what the
+      fixed-width array views (:meth:`matrix`, :meth:`fixed_array`)
+      read.
+
+    ``blob``, ``lengths`` and ``offsets`` (the cumulative sum of the
+    lengths: records are contiguous by construction) are cached
+    properties; so is the list behind :meth:`tolist`.  A column never
+    changes after construction, so both forms, once built, agree.
     """
 
-    __slots__ = ("blob", "lengths", "_offsets")
+    __slots__ = ("_items", "_blob", "_lengths", "_offsets")
 
-    def __init__(self, blob: bytes, lengths: np.ndarray):
-        self.blob = blob
-        self.lengths = lengths
+    def __init__(self, blob: bytes | None = None,
+                 lengths: np.ndarray | None = None, *,
+                 items: list[bytes] | None = None):
+        self._items = items
+        self._blob = blob
+        self._lengths = lengths
         self._offsets: np.ndarray | None = None
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def from_list(cls, items: Sequence[bytes]) -> "Column":
-        n = len(items)
-        if n == 0:
-            return cls(b"", _EMPTY_LENGTHS)
-        lengths = np.fromiter(map(len, items), dtype=np.int64, count=n)
-        return cls(b"".join(items), lengths)
+        return cls(items=list(items))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Column":
@@ -93,33 +112,77 @@ class Column:
             return cls(b"", _EMPTY_LENGTHS)
         return cls(item * n, np.full(n, len(item), dtype=np.int64))
 
-    # -- shape ---------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.lengths)
+    # -- the two forms -------------------------------------------------
 
     @property
-    def nbytes(self) -> int:
-        return len(self.blob)
+    def blob(self) -> bytes:
+        """The payloads back to back (joined from the list once)."""
+        if self._blob is None:
+            self._blob = b"".join(self._items)
+        return self._blob
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """``int64`` array of per-record byte lengths."""
+        if self._lengths is None:
+            items = self._items
+            self._lengths = np.fromiter(map(len, items), dtype=np.int64,
+                                        count=len(items))
+        return self._lengths
 
     @property
     def offsets(self) -> np.ndarray:
         """``int64`` array of ``n + 1`` offsets into ``blob``."""
         if self._offsets is None:
-            off = np.zeros(len(self.lengths) + 1, dtype=np.int64)
-            np.cumsum(self.lengths, out=off[1:])
+            lengths = self.lengths
+            off = np.zeros(len(lengths) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=off[1:])
             self._offsets = off
         return self._offsets
+
+    def tolist(self) -> list[bytes]:
+        """The records as a list — the column's own, cached: callers
+        must not mutate it."""
+        if self._items is None:
+            # Slicing with Python ints: indexing the int64 offsets one
+            # record at a time costs about twice the slicing itself.
+            blob, off = self._blob, self.offsets.tolist()
+            self._items = [blob[lo:hi] for lo, hi in zip(off, off[1:])]
+        return self._items
+
+    # -- shape ---------------------------------------------------------
+
+    def __len__(self) -> int:
+        if self._items is not None:
+            return len(self._items)
+        return len(self._lengths)
+
+    @property
+    def nbytes(self) -> int:
+        if self._blob is not None:
+            return len(self._blob)
+        return sum(map(len, self._items))
 
     @property
     def fixed_width(self) -> int | None:
         """Common record width, or None for ragged/empty columns."""
-        n = len(self.lengths)
+        n = len(self)
         if n == 0:
             return None
-        w = int(self.lengths[0])
-        if n == 1 or (int(self.lengths.min()) == w
-                      and int(self.lengths.max()) == w):
+        if self._lengths is None:
+            # List form: stop at the first odd length (ragged lists
+            # show one within a few items); a fixed-width list gets
+            # its lengths array for free.
+            items = self._items
+            w = len(items[0])
+            for item in items:
+                if len(item) != w:
+                    return None
+            self._lengths = np.full(n, w, dtype=np.int64)
+            return w
+        lengths = self._lengths
+        w = int(lengths[0])
+        if n == 1 or (int(lengths.min()) == w and int(lengths.max()) == w):
             return w
         return None
 
@@ -147,14 +210,10 @@ class Column:
     # -- record access -------------------------------------------------
 
     def at(self, i: int) -> bytes:
+        if self._items is not None:
+            return self._items[i]
         lo, hi = self.offsets[i:i + 2].tolist()
-        return self.blob[lo:hi]
-
-    def tolist(self) -> list[bytes]:
-        # Slicing with Python ints: indexing the int64 offsets one
-        # record at a time costs about twice the slicing itself.
-        blob, off = self.blob, self.offsets.tolist()
-        return [blob[lo:hi] for lo, hi in zip(off, off[1:])]
+        return self._blob[lo:hi]
 
     def __iter__(self) -> Iterator[bytes]:
         return iter(self.tolist())
@@ -162,30 +221,33 @@ class Column:
     # -- transforms ----------------------------------------------------
 
     def take(self, order: np.ndarray) -> "Column":
-        """Gather records into a new column (vectorized when fixed)."""
+        """Gather records into a new column: a vectorized row gather
+        when fixed-width, a list gather when ragged."""
         w = self.fixed_width
         if w is not None:
             mat = self.matrix()[order]
             return Column(mat.tobytes(),
                           np.full(len(order), w, dtype=np.int64))
-        off = self.offsets
-        blob = self.blob
-        return Column(
-            b"".join([blob[lo:hi] for lo, hi in
-                      zip(off[order].tolist(), off[order + 1].tolist())]),
-            self.lengths[order],
-        )
+        items = self.tolist()
+        return Column(items=[items[i] for i in order.tolist()])
 
     @classmethod
     def concat(cls, columns: Sequence["Column"]) -> "Column":
+        """One column of every record of ``columns``, in order: joined
+        blobs when every part holds its blob, else joined lists."""
         if len(columns) == 1:
             return columns[0]
         if not columns:
             return cls(b"", _EMPTY_LENGTHS)
-        return cls(
-            b"".join(c.blob for c in columns),
-            np.concatenate([c.lengths for c in columns]),
-        )
+        if all(c._blob is not None for c in columns):
+            return cls(
+                b"".join(c._blob for c in columns),
+                np.concatenate([c.lengths for c in columns]),
+            )
+        items: list[bytes] = []
+        for c in columns:
+            items += c.tolist()
+        return cls(items=items)
 
 
 class ColumnBatch:
@@ -234,11 +296,10 @@ class ColumnBatch:
         return cls.from_lists(ks, vs)
 
     def to_kvs(self) -> KeyValueSet:
-        out = KeyValueSet()
-        append = out.append_unchecked
-        for k, v in zip(self.keys, self.values):
-            append(k, v)
-        return out
+        # Copies: the record set is the caller's to mutate, the
+        # columns' lists are not.
+        return KeyValueSet.from_lists(list(self.keys.tolist()),
+                                      list(self.values.tolist()))
 
     def iter_pairs(self) -> Iterator[tuple[bytes, bytes]]:
         return zip(self.keys, self.values)

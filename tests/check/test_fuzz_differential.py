@@ -12,6 +12,8 @@ from repro.check.fuzz import (
     run_fuzz,
 )
 from repro.framework.modes import MemoryMode, ReduceStrategy
+from repro.framework.records import KeyValueSet
+from repro.gpu.accessor import host_accessor
 from repro.gpu.config import DeviceConfig
 
 CFG = DeviceConfig.small(2)
@@ -28,6 +30,12 @@ class TestGenerator:
             c = draw_case(3, i)
             assert not (c.strategy is ReduceStrategy.BR
                         and c.mode is MemoryMode.GT)
+
+    def test_ordered_kind_is_tr_only(self):
+        kinds = [draw_case(3, i) for i in range(400)]
+        ordered = [c for c in kinds if c.kind == "ordered"]
+        assert ordered
+        assert {c.strategy for c in ordered} == {ReduceStrategy.TR}
 
     def test_degenerate_shapes_are_generated(self):
         sizes = {draw_case(7, i).n_records for i in range(200)}
@@ -56,6 +64,23 @@ class TestTargetedCases:
 
     def test_zero_output_map(self):
         assert run_case(self._case(kind="null", n_records=16), CFG) is None
+
+    def test_ordered_reduce_sees_value_order(self):
+        spec = fuzz_mod._make_spec("ordered", None)
+        vals = [b"\x01", b"\x02\x00", b"", b"\x03\x00\x00\x07"]
+        outs = []
+        for group in (vals, vals[::-1], [vals[1], vals[0]] + vals[2:]):
+            out = KeyValueSet()
+            spec.reduce_record(host_accessor(b"k"),
+                               [host_accessor(v) for v in group],
+                               lambda k, v: out.append(k, v), None)
+            outs.append(out.values[0])
+        assert len(set(outs)) == 3
+
+    def test_ordered_kind_hot_key(self):
+        case = self._case(kind="ordered", n_records=33, key_pool=1,
+                          strategy=ReduceStrategy.TR)
+        assert run_case(case, CFG) is None
 
     def test_overflow_forcing_burst(self):
         case = self._case(kind="burst", n_records=64, key_pool=1,
