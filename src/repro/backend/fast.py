@@ -317,20 +317,12 @@ class FastBackend(ExecutionBackend):
                     out.append(bytes(k_out), bytes(v_out))
             else:
                 reduce_record = spec.reduce_record
-                cache: dict[bytes, Accessor] = {}
-
-                def acc_of(data: bytes) -> Accessor:
-                    a = cache.get(data)
-                    if a is None:
-                        a = host_accessor(data)
-                        cache[data] = a
-                    return a
-
+                acc_of = _AccessorCache().__getitem__
                 for key, values in grouped:
                     n_groups += 1
                     n_in += len(values)
                     reduce_record(
-                        acc_of(key), [acc_of(v) for v in values], emit, const
+                        acc_of(key), list(map(acc_of, values)), emit, const
                     )
             if sp is not None:
                 sp.attrs["emitted"] = len(out)
@@ -381,13 +373,25 @@ class ColumnarBackend(FastBackend):
         super().__init__(columnar=True)
 
 
+class _AccessorCache(dict):
+    """Reduce-side accessors memoised by payload bytes: a hit is a
+    plain ``dict`` lookup in C, only a miss builds one."""
+
+    __slots__ = ()
+
+    def __missing__(self, data: bytes) -> Accessor:
+        acc = self[data] = host_accessor(data)
+        return acc
+
+
 def _emit_into(out: KeyValueSet):
-    fast_append = out.append_unchecked
+    add_key, add_val = out.keys.append, out.values.append
     checked_append = out.append
 
     def emit(k: bytes, v: bytes) -> None:
         if type(k) is bytes and type(v) is bytes:
-            fast_append(k, v)
+            add_key(k)
+            add_val(v)
         else:
             # bytearray/memoryview emits: validate and copy like the
             # simulator's collector does.

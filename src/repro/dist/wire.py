@@ -11,7 +11,8 @@ never as one JSON value per record:
   lengths, key blob, value blob.  :func:`encode` takes a
   :class:`~repro.framework.records.KeyValueSet` or any iterable of
   ``(key, value)`` pairs; :func:`decode` returns a ``KeyValueSet``.
-* ``groups`` — a ``u32`` group count, the per-group value counts, a
+* ``groups`` — one groups-form block (the form spill runs are made
+  of): a ``u32`` group count, the per-group value counts, a
   one-column key block and a one-column block of every group's
   values, flattened.  ``(key, [value, ...])`` groups go in and come
   out.
@@ -35,16 +36,14 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from itertools import accumulate, chain
 from typing import Any, Iterator
-
-import numpy as np
 
 from ..framework.records import (
     KeyValueSet,
-    field_lengths,
     pack_block,
+    pack_groups,
     read_block,
+    read_groups,
 )
 
 #: Sanity cap on a single frame (1 GiB): a corrupt length prefix
@@ -67,12 +66,7 @@ def _encode_pairs(pairs) -> bytes:
 
 
 def _encode_groups(groups) -> bytes:
-    keys = [k for k, _ in groups]
-    values = [vs for _, vs in groups]
-    return b"".join((
-        len(keys).to_bytes(4, "little"), field_lengths(values).tobytes(),
-        pack_block(keys), pack_block(list(chain.from_iterable(values))),
-    ))
+    return pack_groups([k for k, _ in groups], [vs for _, vs in groups])
 
 
 def _decode_pairs(take) -> KeyValueSet:
@@ -81,17 +75,7 @@ def _decode_pairs(take) -> KeyValueSet:
 
 
 def _decode_groups(take) -> list[tuple[bytes, list[bytes]]]:
-    g = int.from_bytes(take(4), "little")
-    counts = np.frombuffer(take(4 * g), "<u4").tolist()
-    (keys,) = read_block(take, 1)
-    (values,) = read_block(take, 1)
-    if len(keys) != g or len(values) != sum(counts):
-        raise ValueError(
-            f"groups section: {g} groups of {sum(counts)} values, but "
-            f"{len(keys)} keys and {len(values)} values"
-        )
-    return [(key, values[end - c:end])
-            for key, c, end in zip(keys, counts, accumulate(counts))]
+    return list(zip(*read_groups(take)))
 
 
 #: Section name -> (encoder, decoder).

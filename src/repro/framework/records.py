@@ -16,12 +16,22 @@ matching what the staging copies move byte-for-byte.
 The same layout, with lengths in place of offsets, is the host's one
 serialised record form, the *block* (:func:`pack_block`,
 :func:`read_block`): a ``u32`` record count *n*, then *n* ``u32``
-lengths per column, then each column's blob, all little-endian.  Spill
-run files (:mod:`repro.store.spill`) are sequences of two-column
-(key, value) blocks, and the distributed backend's wire frames
-(:mod:`repro.dist.wire`) carry their records as blocks.  A block is
-built with one ``b"".join`` and split back with one ``struct`` unpack,
-never one record at a time.
+lengths per column, then each column's blob, all little-endian.  A
+block is built with one ``b"".join`` and split back with one
+``struct`` unpack — or, for one column of equally wide fields, one
+``numpy`` void-dtype view — never one record at a time.  The codec has
+two forms:
+
+* **pairs** — one two-column (key, value) block: a record set.  The
+  distributed backend's wire frames (:mod:`repro.dist.wire`) carry Map
+  input and every task's output this way.
+* **groups** (:func:`pack_groups`, :func:`read_groups`) — ``(key,
+  [value, ...])`` groups: a ``u32`` group count *g*, *g* ``u32``
+  per-group value counts, a one-column key block and a one-column
+  block of every group's values, flattened.  Each key is written once,
+  not once per value.  Spill run files (:mod:`repro.store.spill`) are
+  sequences of group blocks, and the wire carries Reduce input this
+  way.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from __future__ import annotations
 import array
 import struct
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -177,9 +188,46 @@ def read_block(take: Callable[[int], bytes], ncols: int = 2
     """
     n = int.from_bytes(take(4), "little")
     lens = np.frombuffer(take(4 * ncols * n), "<u4")
+    if ncols == 1 and n and lens.min() == lens.max():
+        # Equally wide fields: a void-dtype view splits the blob in C
+        # (``V`` keeps NUL bytes, which ``S`` would strip).
+        width = int(lens[0])
+        blob = take(n * width)
+        return [np.frombuffer(blob, f"V{width}").tolist() if width
+                else [b""] * n]
     fields = struct.Struct(_unpack_format(lens)).unpack(
         take(int(lens.sum(dtype=np.int64))))
     return [list(fields[i * n:(i + 1) * n]) for i in range(ncols)]
+
+
+def pack_groups(keys: Sequence[bytes],
+                values: Sequence[Sequence[bytes]]) -> bytes:
+    """One groups-form block: ``values[i]`` is the value list of
+    ``keys[i]`` (module docstring)."""
+    return b"".join((
+        len(keys).to_bytes(4, "little"), field_lengths(values).tobytes(),
+        pack_block(keys), pack_block(list(chain.from_iterable(values))),
+    ))
+
+
+def read_groups(take: Callable[[int], bytes]
+                ) -> tuple[list[bytes], list[list[bytes]]]:
+    """Split one groups-form block into its keys and value lists.
+
+    ``take`` is as for :func:`read_block`.  Raises ``ValueError`` when
+    the group counts disagree with the blocks that follow them.
+    """
+    g = int.from_bytes(take(4), "little")
+    counts = np.frombuffer(take(4 * g), "<u4").tolist()
+    (keys,) = read_block(take, 1)
+    (values,) = read_block(take, 1)
+    if len(keys) != g or len(values) != sum(counts):
+        raise ValueError(
+            f"groups block: {g} groups of {sum(counts)} values, but "
+            f"{len(keys)} keys and {len(values)} values"
+        )
+    return keys, [values[end - c:end]
+                  for c, end in zip(counts, accumulate(counts))]
 
 
 @dataclass

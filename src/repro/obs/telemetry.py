@@ -40,7 +40,7 @@ class ShardProfile:
     records_out: int      # records emitted by the user function
     distinct_keys: int = 0  # peak shuffle-key width seen by the shard
     spill_runs: int = 0     # sorted runs this shard wrote to disk
-    spilled_bytes: int = 0  # payload bytes across this shard's runs
+    spilled_bytes: int = 0  # bytes written to this shard's runs
 
     @property
     def wall_ns(self) -> int:

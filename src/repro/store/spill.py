@@ -1,37 +1,40 @@
-"""The spillable out-of-core store: sorted block runs + a windowed merge.
+"""The spillable out-of-core store: key-sorted group runs + a windowed merge.
 
 Greiner & Jacob's parallel-external-memory analysis of MapReduce
 models the shuffle as exactly this: when the intermediate working set
 exceeds the memory budget *M*, write key-sorted runs of ~*M* bytes and
 merge them back in one streaming pass.  :class:`SpillStore` is the
-host-side implementation, and it moves records in batches — whole
-key and value arrays in the paper's structure-of-arrays layout
-(:mod:`repro.framework.records`), not one record at a time:
+host-side implementation, and it moves *groups* — a key with its
+values — never one record at a time:
 
-* **emit** appends to an in-memory buffer whose approximate byte size
-  (:func:`~repro.store.base.record_cost`) is tracked; when adding a
-  record would push the buffer past the budget, the buffer is sorted
-  by key (stable, preserving emission order of equal keys) and written
-  to a temp run file first — so the tracked buffer never exceeds
-  ``max(budget, one record)``.  ``emit_many`` (given a
+* **emit** groups each record into an in-memory key -> values dict
+  (:class:`~repro.store.memory.MemoryStore`'s, filled in emission
+  order) whose approximate byte size
+  (:func:`~repro.store.base.record_cost` per record) is tracked; when
+  adding a record would push the buffer past the budget, the buffer is
+  written to a temp run file first — so the tracked buffer never
+  exceeds ``max(budget, one record)``.  ``emit_many`` (given a
   :class:`~repro.framework.records.KeyValueSet`) and ``emit_columns``
   replay that per-record rule over a cumulative-cost array in one
   helper, :meth:`SpillStore._replay`, which searches for each spill
   point: its loop runs once per spill, not once per record;
+* a spill sorts only the buffer's distinct keys and writes their
+  groups, in key order, as *group blocks*;
 * **iter_groups** and :func:`merge_runs` share one windowed merge,
   :func:`_merge_groups`.  It holds one block per run.  ``bound`` is
   the smallest tail key among the runs that still have blocks on
   disk.  Every key *strictly less than* ``bound`` is complete in
-  memory, so the merge takes those records from each run, in run
-  (= chronological) order, groups them in a dict (emission order per
-  key, as :class:`~repro.store.memory.MemoryStore` does) and yields
-  the groups sorted by key; then it refills each run whose block ran
-  out or whose tail equals ``bound``, carrying that run's unconsumed
-  records forward.  The bound must be strict: a key equal to a run's
-  tail may continue in that run's next block, and taking it early
-  would put a later run's values before them.  Each group's value
-  list is therefore in global emission order: byte-identical to
-  ``MemoryStore``.  Merge memory is one block per run plus the records
+  memory, so the merge takes those groups from each run, in run
+  (= chronological) order, joins equal keys' value lists (emission
+  order per key, as ``MemoryStore`` does) and yields the groups
+  sorted by key; then it refills each run whose tail key equals
+  ``bound``, appending the next block after the groups it still
+  holds — a group that continues into that block is joined when it
+  is taken.  The bound must be strict: a key equal to a
+  run's tail may continue in that run's next block, and taking it
+  early would put a later run's values before them.  Each group's
+  value list is therefore in global emission order: byte-identical to
+  ``MemoryStore``.  Merge memory is one block per run plus the groups
   carried forward (one hot key's values may span many blocks; the
   group is materialised anyway, outside the tracked buffer).
 
@@ -40,16 +43,19 @@ setting, ``$REPRO_SPILL_DIR``) and are removed by :meth:`~SpillStore.close`,
 which every execution path reaches via ``try/finally`` — a failed job
 leaves no orphaned runs behind.
 
-Run format: a sequence of two-column (key, value) blocks of at most
-:data:`BLOCK_RECORDS` records, key-sorted across the whole file.  A
-block is a ``u32`` record count *n*, then *n* ``u32`` key lengths,
-then *n* ``u32`` value lengths, then the key blob, then the value
-blob, all little-endian: the block codec of
-:mod:`repro.framework.records` (:func:`~repro.framework.records.pack_block`,
-:func:`~repro.framework.records.read_block`), which the dist wire
-shares.  Every read is length-checked: a torn run file raises
-:class:`~repro.errors.FrameworkError` naming the file instead of
-yielding short records.
+Run format: a sequence of group blocks, key-sorted across the whole
+file, each holding at most :data:`BLOCK_RECORDS` values.  A group
+block is the groups form of the block codec in
+:mod:`repro.framework.records` (:func:`~repro.framework.records.pack_groups`,
+:func:`~repro.framework.records.read_groups`), which the dist wire
+shares: a ``u32`` group count *g*, *g* ``u32`` value counts, a
+one-column block of the *g* keys and a one-column block of their
+values, all little-endian.  Each key is written once per block, not
+once per value.  A group with more values than a block has room for
+continues under the same key at the head of the next block; keys are
+otherwise distinct within a run.  Every read is length-checked: a torn
+or inconsistent run file raises :class:`~repro.errors.FrameworkError`
+naming the file instead of yielding short groups.
 """
 
 from __future__ import annotations
@@ -66,15 +72,15 @@ from ..errors import FrameworkError
 from ..framework.records import (
     KeyValueSet,
     field_lengths,
-    pack_block,
-    read_block,
+    pack_groups,
+    read_groups,
 )
 from .base import RECORD_OVERHEAD, IntermediateStore
 
 #: Default budget when spilling is requested without an explicit one.
 DEFAULT_BUDGET = 64 * 2**20
 
-#: Records per run-file block: the merge holds one block per run.
+#: Values per run-file block: the merge holds one block per run.
 BLOCK_RECORDS = 512
 
 
@@ -100,9 +106,8 @@ class SpillStore(IntermediateStore):
         if budget < 1:
             raise ValueError(f"spill budget must be >= 1 byte, got {budget}")
         self.budget = budget
-        # The buffer as two parallel arrays (structure of arrays).
-        self._keys: list[bytes] = []
-        self._vals: list[bytes] = []
+        # The buffer: key -> values, values in emission order.
+        self._groups: dict[bytes, list[bytes]] = {}
         self._buffer_bytes = 0
         self._runs: list[str] = []
         self._prefix = prefix
@@ -115,10 +120,13 @@ class SpillStore(IntermediateStore):
 
     def emit(self, key: bytes, value: bytes) -> None:
         cost = len(key) + len(value) + RECORD_OVERHEAD
-        if self._keys and self._buffer_bytes + cost > self.budget:
+        if self._groups and self._buffer_bytes + cost > self.budget:
             self._spill_run()
-        self._keys.append(key)
-        self._vals.append(value)
+        bucket = self._groups.get(key)
+        if bucket is None:
+            self._groups[key] = [value]
+        else:
+            bucket.append(value)
         self._buffer_bytes += cost
         st = self.stats
         st.emitted_records += 1
@@ -155,7 +163,8 @@ class SpillStore(IntermediateStore):
         n = len(keys)
         if n == 0:
             return
-        bk, bv = self._keys, self._vals
+        groups = self._groups
+        get = groups.get
         budget = self.budget
         st = self.stats
         bb = self._buffer_bytes
@@ -163,13 +172,17 @@ class SpillStore(IntermediateStore):
         i = 0
         while True:
             j = max(i, int(cum.searchsorted(budget - bb + base, "right")))
-            if j == i and not bk:
+            if j == i and not groups:
                 # An empty buffer always accepts the next record, even
                 # one larger than the whole budget.
                 j = i + 1
             if j > i:
-                bk.extend(keys[i:j])
-                bv.extend(vals[i:j])
+                for key, value in zip(keys[i:j], vals[i:j]):
+                    bucket = get(key)
+                    if bucket is None:
+                        groups[key] = [value]
+                    else:
+                        bucket.append(value)
                 end = int(cum[j - 1])
                 bb += end - base
                 base = end
@@ -193,35 +206,28 @@ class SpillStore(IntermediateStore):
             )
         return self._dir
 
-    def _sorted_buffer(self) -> tuple[list[bytes], list[bytes]]:
-        """The buffer's keys and values, stably sorted by key."""
-        keys, vals = self._keys, self._vals
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        return (list(map(keys.__getitem__, order)),
-                list(map(vals.__getitem__, order)))
+    def _sorted_buffer(self) -> tuple[list[bytes], list[list[bytes]]]:
+        """The buffer's distinct keys, sorted, and their value lists."""
+        keys = sorted(self._groups)
+        return keys, list(map(self._groups.__getitem__, keys))
 
     def _spill_run(self) -> None:
-        """Sort the buffer and write it out as one run file."""
+        """Write the buffer's groups out, in key order, as one run."""
         run_dir = self._ensure_dir()
         path = os.path.join(
             run_dir, f"{self._prefix}-{len(self._runs):06d}.run"
         )
-        keys, vals = self._sorted_buffer()
-        n = len(keys)
-        blocks = 0
+        written = 0
         with open(path, "wb") as fh:
-            for lo in range(0, n, BLOCK_RECORDS):
-                fh.write(pack_block(keys[lo:lo + BLOCK_RECORDS],
-                                    vals[lo:lo + BLOCK_RECORDS]))
-                blocks += 1
+            for block in _group_blocks(*self._sorted_buffer()):
+                blob = pack_groups(*block)
+                fh.write(blob)
+                written += len(blob)
         self._runs.append(path)
         st = self.stats
         st.spill_runs += 1
-        # Payload plus 8 B of lengths per record plus 4 B per block.
-        st.spilled_bytes += (self._buffer_bytes - RECORD_OVERHEAD * n
-                             + 8 * n + 4 * blocks)
-        self._keys.clear()
-        self._vals.clear()
+        st.spilled_bytes += written
+        self._groups.clear()  # in place: _replay holds the dict
         self._buffer_bytes = 0
 
     def flush_runs(self) -> list[str]:
@@ -232,7 +238,7 @@ class SpillStore(IntermediateStore):
         but paths crosses the process boundary.  The caller owns the
         files from here on.
         """
-        if self._keys:
+        if self._groups:
             self._spill_run()
         self.finalize()
         runs, self._runs = self._runs, []
@@ -248,7 +254,7 @@ class SpillStore(IntermediateStore):
         if not self._finalized:
             self.finalize()
         sources = [_read_blocks(path) for path in self._runs]
-        if self._keys:
+        if self._groups:
             sources.append(_one_block(*self._sorted_buffer()))
         self.stats.merge_fan_in = len(sources)
         try:
@@ -262,8 +268,7 @@ class SpillStore(IntermediateStore):
         if self._closed:
             return
         self._closed = True
-        self._keys = []
-        self._vals = []
+        self._groups = {}
         self._buffer_bytes = 0
         runs, self._runs = self._runs, []
         for path in runs:
@@ -282,8 +287,30 @@ class SpillStore(IntermediateStore):
             pass
 
 
+def _group_blocks(keys: list, values: list):
+    """Cut key-sorted groups into ``(keys, value lists)`` blocks of at
+    most :data:`BLOCK_RECORDS` values; a group that does not fit
+    continues under its key at the head of the next block."""
+    size = BLOCK_RECORDS
+    bkeys, bvals, room = [], [], size
+    for key, vals in zip(keys, values):
+        lo, n = 0, len(vals)
+        while n - lo >= room:
+            bkeys.append(key)
+            bvals.append(vals[lo:lo + room])
+            lo += room
+            yield bkeys, bvals
+            bkeys, bvals, room = [], [], size
+        if lo < n:
+            bkeys.append(key)
+            bvals.append(vals[lo:] if lo else vals)
+            room -= n - lo
+    if bkeys:
+        yield bkeys, bvals
+
+
 def _read_blocks(path: str):
-    """Stream one run file as ``(keys, values, last)`` blocks."""
+    """Stream one run file as ``(keys, value lists, last)`` blocks."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         off = 0
@@ -300,7 +327,13 @@ def _read_blocks(path: str):
             return data
 
         while off < size:
-            keys, vals = read_block(take)
+            try:
+                keys, vals = read_groups(take)
+                if not keys:
+                    raise ValueError("a block holds no groups")
+            except ValueError as exc:
+                raise FrameworkError(
+                    f"spill run {path!r} is corrupt: {exc}") from exc
             yield keys, vals, off == size
 
 
@@ -320,12 +353,13 @@ class _Run:
         self.pos = 0
 
     def refill(self) -> None:
-        """Load the next block after the records not yet taken."""
+        """Load the next block after the groups not yet taken."""
         keys, vals, self.last = next(self.blocks)
         if self.pos < len(self.keys):
-            # Extend the carried records in place: a hot key that spans
+            # Extend the carried groups in place: a hot key that spans
             # many blocks of one run then costs linear time, not
-            # quadratic.
+            # quadratic.  A group that continues into the new block
+            # now appears twice in a row; the merge joins the two.
             del self.keys[:self.pos], self.vals[:self.pos]
             self.keys += keys
             self.vals += vals
@@ -335,10 +369,12 @@ class _Run:
 
 
 def _merge_groups(sources: list) -> Iterator[tuple[bytes, list[bytes]]]:
-    """The windowed merge of key-sorted block sources, in run order.
+    """The windowed merge of key-sorted group-block sources, in run
+    order.
 
     See the module docstring for the rule; ``sources`` yield
-    ``(keys, values, last)`` blocks and are closed on every exit.
+    ``(keys, value lists, last)`` blocks and are closed on every exit.
+    The yielded value lists are the blocks' own lists, joined.
     """
     try:
         runs = []
@@ -350,14 +386,18 @@ def _merge_groups(sources: list) -> Iterator[tuple[bytes, list[bytes]]]:
             tails = [r.keys[-1] for r in runs if not r.last]
             bound = min(tails) if tails else None
             groups: dict[bytes, list[bytes]] = {}
-            group = groups.setdefault
+            get = groups.get
             for r in runs:
                 keys, pos = r.keys, r.pos
                 end = len(keys) if bound is None else bisect_left(
                     keys, bound, pos)
                 if end > pos:
-                    for k, v in zip(keys[pos:end], r.vals[pos:end]):
-                        group(k, []).append(v)
+                    for k, vs in zip(keys[pos:end], r.vals[pos:end]):
+                        bucket = get(k)
+                        if bucket is None:
+                            groups[k] = vs
+                        else:
+                            bucket += vs
                     r.pos = end
             if groups:
                 yield from sorted(groups.items())

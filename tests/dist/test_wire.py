@@ -164,6 +164,18 @@ class TestSections:
         with pytest.raises(ValueError, match="trailing"):
             decode(encode({"type": "shutdown"})[4:] + b"x")
 
+    def test_groups_frame_bytes_are_pinned(self):
+        """The groups section is the shared groups-form block codec;
+        a frame's bytes must not move with it."""
+        msg = {"type": "reduce", "shard": 1,
+               "groups": [(b"", [b"", b"\x00"]), (b"ab\x00", [b"xxx"]),
+                          (b"k", [])]}
+        assert encode(msg).hex() == (
+            "0000006d000000317b2274797065223a22726564756365222c22736861"
+            "7264223a312c2273656374696f6e73223a5b2267726f757073225d7d03"
+            "0000000200000001000000000000000300000000000000030000000100"
+            "00006162006b0300000000000000010000000300000000787878")
+
     def test_groups_counts_must_match_blocks(self):
         # Two groups claimed, one key and one value in the blocks.
         section = (b"\x02\x00\x00\x00" + b"\x01\x00\x00\x00" * 2

@@ -10,6 +10,10 @@ from repro.framework.records import (
     DeviceRecordSet,
     KeyValueSet,
     OutputBuffers,
+    pack_block,
+    pack_groups,
+    read_block,
+    read_groups,
 )
 from repro.gpu.memory import GlobalMemory
 
@@ -138,3 +142,70 @@ class TestOutputBuffers:
         with pytest.raises(FrameworkError):
             out.check_reservation(0, 0, 17)
         out.check_reservation(256, 256, 16)  # exactly at capacity: fine
+
+
+def _taker(blob: bytes):
+    """A ``take`` over ``blob`` that raises past its end, and how far
+    it got."""
+    pos = [0]
+
+    def take(n: int) -> bytes:
+        if pos[0] + n > len(blob):
+            raise ValueError(f"wanted {n} bytes at {pos[0]} of {len(blob)}")
+        pos[0] += n
+        return blob[pos[0] - n:pos[0]]
+
+    return take, pos
+
+
+def _nul_patterns(width: int) -> list[bytes]:
+    """Fields of ``width`` bytes with embedded and trailing NULs."""
+    if width == 0:
+        return [b""]
+    return [b"\x00" * width, b"a" + b"\x00" * (width - 1),
+            b"\x00" * (width - 1) + b"z",
+            bytes(i % 256 for i in range(width, 0, -1))]
+
+
+@st.composite
+def _fixed_width_column(draw):
+    width = draw(st.sampled_from([0, 1, 4, 255, 256, 300]))
+    field = st.one_of(st.binary(min_size=width, max_size=width),
+                      st.sampled_from(_nul_patterns(width)))
+    return draw(st.lists(field, min_size=1, max_size=5))
+
+
+class TestBlockCodec:
+    """One-column blocks of equally wide fields take the void-dtype
+    decode; it must keep every byte and stay length-checked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(items=_fixed_width_column())
+    def test_fixed_width_column_round_trips(self, items):
+        blob = pack_block(items)
+        take, pos = _taker(blob)
+        (got,) = read_block(take, 1)
+        assert got == items
+        assert all(type(x) is bytes for x in got)
+        assert pos[0] == len(blob)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                read_block(_taker(blob[:cut])[0], 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=_fixed_width_column(), data=st.data())
+    def test_groups_round_trip(self, keys, data):
+        values = [data.draw(_fixed_width_column()) for _ in keys]
+        blob = pack_groups(keys, values)
+        take, pos = _taker(blob)
+        assert read_groups(take) == (keys, values)
+        assert pos[0] == len(blob)
+        for cut in range(0, len(blob), 7):
+            with pytest.raises(ValueError):
+                read_groups(_taker(blob[:cut])[0])
+
+    def test_group_counts_must_match_the_blocks(self):
+        blob = bytearray(pack_groups([b"a", b"b"], [[b"1"], [b"2", b"3"]]))
+        blob[8:12] = (1).to_bytes(4, "little")  # b's count: 2 -> 1
+        with pytest.raises(ValueError, match="2 groups of 2 values"):
+            read_groups(_taker(bytes(blob))[0])
