@@ -12,9 +12,10 @@ sorting, like every other equivalence check in this repo).
 Two tricks keep it orders of magnitude faster than both the simulator
 and the naive CPU oracle:
 
-* user functions receive :class:`~repro.gpu.accessor.Accessor` views
-  carrying a shared *null* access trace — ``touch`` is a no-op, so no
-  per-word trace lists are built only to be thrown away;
+* user functions receive :class:`~repro.gpu.accessor.HostAccessor`
+  views, whose reads skip the access trace altogether — no per-word
+  trace lists are built only to be thrown away, and no call is made
+  to record them;
 * value accessors are memoised by payload bytes in the Reduce loop
   (real workloads repeat values massively — Word Count's ``1``\\ s),
   eliminating most allocation.

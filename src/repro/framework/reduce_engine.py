@@ -287,17 +287,25 @@ def _tr_rounds(ctx: WarpCtx, rt: ReduceRuntime, tile: Tile, part,
         # steps [c*mlp, (c+1)*mlp), lane order within a step following
         # stream order — element-for-element what
         # ``chunk_steps(transpose(streams), mlp)`` produced, without
-        # materialising the intermediate per-step lists.
+        # materialising the intermediate per-step lists.  Finished
+        # streams are dropped as they end (keeping stream order), and
+        # once one lane is left its chunks are plain slices.
         mlp = max(1, ctx.timing.memory_parallelism)
-        chunks = [
-            [
-                s[j]
-                for j in range(j0, min(j0 + mlp, n_steps))
-                for s in streams
-                if len(s) > j
-            ]
-            for j0 in range(0, n_steps, mlp)
-        ]
+        live = [s for s in streams if s]
+        shortest = min(map(len, live), default=0)
+        chunks = []
+        for j0 in range(0, n_steps, mlp):
+            if len(live) == 1:
+                s = live[0]
+                chunks += [s[j:j + mlp] for j in range(j0, n_steps, mlp)]
+                break
+            chunk = []
+            for j in range(j0, min(j0 + mlp, n_steps)):
+                if j == shortest:
+                    live = [s for s in live if len(s) > j]
+                    shortest = min(map(len, live))
+                chunk += [s[j] for s in live]
+            chunks.append(chunk)
         if not rt.mode.uses_texture and ctx.can_elide_gmem_addrs:
             # Address-elided replay: transaction counts come from the
             # coalescing analysis; the engine charges the op without

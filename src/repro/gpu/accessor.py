@@ -69,12 +69,6 @@ class _NullTrace(AccessTrace):
 NULL_TRACE = _NullTrace()
 
 
-def host_accessor(data: bytes) -> "Accessor":
-    """An untraced view, for executors that run user functions on the
-    host and never replay the access trace."""
-    return Accessor(data, NULL_TRACE)
-
-
 class Accessor:
     """Read-only, access-traced view of one record's bytes.
 
@@ -165,6 +159,62 @@ class Accessor:
         end = len(self._data) if pos < 0 else min(len(self._data), pos + len(needle))
         self.trace.touch(start, end - start)
         return pos
+
+
+_U32 = struct.Struct("<I").unpack_from
+_I32 = struct.Struct("<i").unpack_from
+_F32 = struct.Struct("<f").unpack_from
+
+
+class HostAccessor(Accessor):
+    """An untraced view, for executors that run user functions on the
+    host and never replay the access trace.
+
+    Every read returns what :class:`Accessor` returns for the same
+    bytes, but skips the ``trace.touch`` call: ``trace`` is the shared
+    no-op :data:`NULL_TRACE`, kept only so code that reads it still
+    finds an (always empty) trace.  One difference: an index below
+    ``-len`` raises ``IndexError`` here, as ``bytes`` does, where the
+    traced view wraps it a second time.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self.trace = NULL_TRACE
+
+    def __getitem__(self, idx):
+        return self._data[idx]
+
+    def to_bytes(self) -> bytes:
+        return self._data
+
+    def u32(self, off: int = 0) -> int:
+        return _U32(self._data, off)[0]
+
+    def i32(self, off: int = 0) -> int:
+        return _I32(self._data, off)[0]
+
+    def f32(self, off: int = 0) -> float:
+        return _F32(self._data, off)[0]
+
+    def f32_array(self, off: int = 0, count: int | None = None) -> np.ndarray:
+        if count is None:
+            count = (len(self._data) - off) // 4
+        return np.frombuffer(self._data, dtype="<f4", count=count, offset=off)
+
+    def u32_array(self, off: int = 0, count: int | None = None) -> np.ndarray:
+        if count is None:
+            count = (len(self._data) - off) // 4
+        return np.frombuffer(self._data, dtype="<u4", count=count, offset=off)
+
+    def find(self, needle: bytes, start: int = 0) -> int:
+        return self._data.find(needle, start)
+
+
+#: The host executors' accessor constructor.
+host_accessor = HostAccessor
 
 
 def lockstep_accesses(

@@ -48,31 +48,72 @@ def km_map(key, value, emit, const) -> None:
     emit(struct.pack("<I", best), value.to_bytes())
 
 
-def km_map_batch(cols, *, const=None):
-    """Vectorized Map: one broadcast distance matrix + argmin.
+#: Bytes of one (K, block) f32 distance temporary in
+#: :func:`km_map_batch`: four of them stay in a core's L2.
+_BLOCK_BYTES = 64 * 1024
 
-    Byte-identical to :func:`km_map`: distances are f32 sums over the
-    contiguous last axis (same accumulation order as the scalar
-    ``((vec - cen) ** 2).sum()``) and ``argmin`` takes the *first*
-    minimum, matching the scalar strict-``<`` first-wins update.
+
+def _squares_pair(v, cen_cols, k, out, tmp) -> None:
+    """``out = q[k] + q[k + 1]`` in place, where
+    ``q[j] = (v[j] - cen[:, j]) ** 2``."""
+    for j, buf in ((k, out), (k + 1, tmp)):
+        np.subtract(v[j], cen_cols[j], out=buf)
+        np.multiply(buf, buf, out=buf)
+    out += tmp
+
+
+def km_map_batch(cols, *, const=None):
+    """Vectorized Map: a blocked distance kernel + argmin.
+
+    The vectors are transposed once to ``vt`` (DIM, n) and walked in
+    blocks of ``_BLOCK_BYTES // (4 * K)`` columns (1024 at K=16), so
+    each (K, block) f32 temporary stays in cache.  Per block, the
+    eight per-dimension rows ``q[k] = (v[k] - cen[:, k]) ** 2`` are
+    added as ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))``: numpy's 8-lane
+    pairwise order, the one the scalar ``((vec - cen) ** 2).sum()``
+    of :func:`km_map` takes over 8 contiguous f32 values.  ``argmin``
+    over the centroid axis returns the *first* minimum, matching the
+    scalar strict-``<`` first-wins update, so the output is
+    byte-identical to :func:`km_map`.
+
     Declines (returns None) on ragged/odd-width values, a missing
-    centroid table, or NaN distances — the scalar loop then reproduces
-    the exact legacy behaviour, error cases included.
+    centroid table, or a vector whose nearest distance is NaN or
+    infinite in any block — the scalar loop then reproduces the exact
+    legacy behaviour, error cases included (its ``<`` never accepts a
+    NaN, and an all-infinite row leaves it no centroid to emit).
     """
     if cols.values.fixed_width != VEC_BYTES or not const:
         return None
     n_centroids = len(const) // VEC_BYTES
     if n_centroids == 0:
         return None
-    vecs = cols.values.fixed_array("<f4")
+    vt = np.ascontiguousarray(cols.values.fixed_array("<f4").T)
     cens = np.frombuffer(
         const[: n_centroids * VEC_BYTES], dtype="<f4"
     ).reshape(n_centroids, DIM)
-    d = ((vecs[:, None, :] - cens[None, :, :]) ** 2).sum(axis=2)
-    if np.isnan(d).any():
-        # The scalar `<` never accepts a NaN distance; argmin would.
-        return None
-    best = np.argmin(d, axis=1).astype("<u4")
+    cen_cols = [np.ascontiguousarray(cens[:, k, None]) for k in range(DIM)]
+    n = vt.shape[1]
+    block = min(n, max(1, _BLOCK_BYTES // (4 * n_centroids)))
+    bufs = np.empty((4, n_centroids, block), dtype="<f4")
+    lanes = np.arange(block)
+    best = np.empty(n, dtype="<u4")
+    for start in range(0, n, block):
+        v = vt[:, start:start + block]
+        w = v.shape[1]
+        a, b, c, t = (buf[:, :w] for buf in bufs)
+        _squares_pair(v, cen_cols, 0, a, t)
+        _squares_pair(v, cen_cols, 2, b, t)
+        a += b
+        _squares_pair(v, cen_cols, 4, b, t)
+        _squares_pair(v, cen_cols, 6, c, t)
+        b += c
+        a += b  # ((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))
+        nearest = a.argmin(axis=0)
+        # argmin returns a column's first NaN, so one finite check on
+        # the chosen distances catches NaN and all-infinite columns.
+        if not np.isfinite(a[nearest, lanes[:w]]).all():
+            return None
+        best[start:start + w] = nearest
     return ColumnBatch(Column.from_array(best), cols.values)
 
 

@@ -1,11 +1,20 @@
 """Tests for access-traced record views."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gpu.accessor import Accessor, AccessTrace, lockstep_accesses
+from repro.gpu.accessor import (
+    NULL_TRACE,
+    Accessor,
+    AccessTrace,
+    HostAccessor,
+    host_accessor,
+    lockstep_accesses,
+)
 
 
 class TestAccessTrace:
@@ -111,6 +120,60 @@ class TestAccessor:
     def test_slice_matches_bytes(self, data):
         a = Accessor(data)
         assert a[: len(data) // 2] == data[: len(data) // 2]
+
+
+def _outcome(read):
+    """A read's result in comparable form (NaN-safe), or the type of
+    the error it raised."""
+    try:
+        out = read()
+    except Exception as e:  # noqa: BLE001 - the type is the outcome
+        return type(e)
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.tobytes()
+    if isinstance(out, float):
+        return struct.pack("<d", out)
+    return out
+
+
+class TestHostAccessor:
+    """The host executors' untraced view reads exactly what the traced
+    one reads, and records nothing."""
+
+    @given(st.binary(max_size=40), st.integers(-40, 44),
+           st.integers(-8, 48), st.none() | st.integers(-1, 12),
+           st.binary(max_size=3))
+    def test_every_read_matches_the_traced_accessor(self, data, off,
+                                                    stop, count, needle):
+        traced, host = Accessor(data), HostAccessor(data)
+        start = max(0, off)
+        # Below -len(data) the traced index wraps a second time, which
+        # bytes indexing (and so the host view) rejects; stay above it.
+        idx = max(off, -len(data))
+        reads = [
+            lambda a: len(a),
+            lambda a: a.to_bytes(),
+            lambda a: a[idx],
+            lambda a: a[off:stop],
+            lambda a: a[start::2],
+            lambda a: list(a),
+            lambda a: a.u32(start),
+            lambda a: a.i32(start),
+            lambda a: a.f32(start),
+            lambda a: a.f32_array(start, count),
+            lambda a: a.u32_array(start, count),
+            lambda a: a.find(needle, start),
+        ]
+        for read in reads:
+            assert (_outcome(lambda: read(host))
+                    == _outcome(lambda: read(traced)))
+        assert host == traced and hash(host) == hash(traced)
+        assert host.trace is NULL_TRACE and len(host.trace) == 0
+
+    def test_host_accessor_builds_one(self):
+        a = host_accessor(b"\x01\x00\x00\x00")
+        assert isinstance(a, HostAccessor) and isinstance(a, Accessor)
+        assert a.u32() == 1 and a.trace is NULL_TRACE
 
 
 class TestLockstep:
