@@ -17,7 +17,7 @@ make every failure mode reproducible from tests.  The phases:
   emissions into key-sorted run files in a coordinator-owned
   directory, with the memory budget split evenly across workers.
 * **Shuffle** — runs in the coordinator: the fast backend's store
-  group-by, or a k-way merge of the per-split runs.
+  group-by, or a windowed merge of the per-split runs.
 * **Reduce** — the sorted groups are cut into R = workers x 2
   contiguous key ranges (or, for a lazy spill-merge stream, into
   fixed-size chunks pulled as workers come free).  Range outputs

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import reduce as _fold
 
 from ..errors import FrameworkError
-from ..framework.columns import ColumnBatch, GroupedColumns
+from ..framework.columns import Column, ColumnBatch, GroupedColumns
 from ..framework.host import host_download_cost, host_upload_cost
 from ..framework.modes import ReduceStrategy
 from ..framework.records import KeyValueSet
@@ -193,7 +193,11 @@ class FastBackend(ExecutionBackend):
                 hi = min(lo + width, n)
                 res = None
                 if map_batch is not None:
-                    cols = ColumnBatch.from_lists(keys[lo:hi], vals[lo:hi])
+                    # The input's memoised widths give a fixed-width
+                    # side's columns their lengths without a scan.
+                    cols = ColumnBatch(
+                        Column.from_list(keys[lo:hi], d_in.key_width),
+                        Column.from_list(vals[lo:hi], d_in.val_width))
                     res = map_batch(cols, const=const_bytes)
                     if res is not None and not isinstance(res, ColumnBatch):
                         raise FrameworkError(

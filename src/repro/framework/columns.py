@@ -89,8 +89,13 @@ class Column:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_list(cls, items: Sequence[bytes]) -> "Column":
-        return cls(items=list(items))
+    def from_list(cls, items: Sequence[bytes],
+                  width: int | None = None) -> "Column":
+        """A list-form column; ``width``, when the caller knows every
+        item is that long, gives it its ``lengths`` with no scan."""
+        lengths = None if width is None else np.full(len(items), width,
+                                                     dtype=np.int64)
+        return cls(items=list(items), lengths=lengths)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Column":

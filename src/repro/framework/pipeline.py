@@ -81,7 +81,10 @@ class IterativeJob:
     make_spec: SpecFn
     update: UpdateFn
     converged: ConvergedFn
-    mode: MemoryMode = MemoryMode.SIO
+    #: Memory mode of every iteration's job; ``None`` passes
+    #: :func:`~repro.framework.job.run_job`'s default through, so
+    #: ``$REPRO_AUTOTUNE=1`` tunes each iteration.
+    mode: MemoryMode | None = MemoryMode.SIO
     strategy: ReduceStrategy | None = ReduceStrategy.TR
     config: DeviceConfig | None = None
     threads_per_block: int = 128
@@ -105,7 +108,8 @@ class IterativeJob:
         state = initial_state
         result = IterativeResult(state=state)
         tr = tracer if tracer is not None else NULL_TRACER
-        with tr.span("iterative_job", mode=self.mode.value,
+        with tr.span("iterative_job",
+                     mode=self.mode.value if self.mode else None,
                      strategy=self.strategy.value if self.strategy else None):
             for i in range(max_iterations):
                 spec = self.make_spec(i, state)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import array
 import struct
 from dataclasses import dataclass
+from hashlib import blake2b
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -55,13 +56,28 @@ DIR_PER_RECORD = 2 * DIR_ENTRY
 
 
 class KeyValueSet:
-    """An ordered collection of ``(key: bytes, value: bytes)`` records."""
+    """An ordered collection of ``(key: bytes, value: bytes)`` records.
 
-    __slots__ = ("_keys", "_vals")
+    A record set only grows: every mutator appends (:meth:`append`,
+    :meth:`append_unchecked`, :meth:`extend`, or an ``append`` on the
+    ``keys``/``values`` lists themselves).  Assigning to, deleting or
+    reordering items of ``keys``/``values`` in place is unsupported.
+
+    That rule lets the set memoise its *facts* — :attr:`key_bytes`,
+    :attr:`val_bytes`, :attr:`key_width`, :attr:`val_width` and
+    :attr:`digest` — each computed at most once, on first use.  The
+    memo holds only scalars and stays valid while both lists keep the
+    lengths it was filled at: any append changes a length, so the
+    append paths pay nothing to keep it honest.
+    """
+
+    __slots__ = ("_keys", "_vals", "_facts", "_facts_at")
 
     def __init__(self, records: Iterable[tuple[bytes, bytes]] = ()):
         self._keys: list[bytes] = []
         self._vals: list[bytes] = []
+        self._facts: dict = {}
+        self._facts_at = (0, 0)
         for k, v in records:
             self.append(k, v)
 
@@ -117,13 +133,52 @@ class KeyValueSet:
     def values(self) -> Sequence[bytes]:
         return self._vals
 
+    # -- memoised facts ------------------------------------------------
+
+    def _memo(self) -> dict:
+        """The facts memo, emptied first if a record was appended
+        since it was filled (class docstring)."""
+        at = (len(self._keys), len(self._vals))
+        if at != self._facts_at:
+            self._facts = {}
+            self._facts_at = at
+        return self._facts
+
+    def _side(self, side: int) -> tuple[int, int | None, bytes]:
+        """:func:`length_facts` of the keys (``side`` 0) or values (1)."""
+        memo = self._memo()
+        if side not in memo:
+            memo[side] = length_facts(self._vals if side else self._keys)
+        return memo[side]
+
     @property
     def key_bytes(self) -> int:
-        return sum(map(len, self._keys))
+        return self._side(0)[0]
 
     @property
     def val_bytes(self) -> int:
-        return sum(map(len, self._vals))
+        return self._side(1)[0]
+
+    @property
+    def key_width(self) -> int | None:
+        """The common key length, or None when key lengths vary (or
+        the set is empty)."""
+        return self._side(0)[1]
+
+    @property
+    def val_width(self) -> int | None:
+        """The common value length, or None as for :attr:`key_width`."""
+        return self._side(1)[1]
+
+    @property
+    def digest(self) -> str:
+        """Content digest: :func:`hash_columns` of both columns."""
+        memo = self._memo()
+        if "digest" not in memo:
+            memo["digest"] = hash_columns(
+                len(self._keys), self._side(0)[2], self._side(1)[2],
+                self._keys, self._vals)
+        return memo["digest"]
 
     @property
     def total_bytes(self) -> int:
@@ -149,6 +204,30 @@ class KeyValueSet:
             "val_mean": float(vs.mean()),
             "val_std": float(vs.std()),
         }
+
+
+def length_facts(items: Sequence[bytes]) -> tuple[int, int | None, bytes]:
+    """``(byte total, common width or None, digest of the lengths)`` of
+    one column, from one :func:`field_lengths` pass."""
+    lens = field_lengths(items)
+    width = int(lens[0]) if len(lens) and lens.min() == lens.max() else None
+    return (int(lens.sum(dtype=np.int64)), width,
+            blake2b(lens, digest_size=16).digest())
+
+
+def hash_columns(n: int, key_lens: bytes, val_lens: bytes,
+                 keys: Sequence[bytes], vals: Sequence[bytes]) -> str:
+    """16 hex chars of BLAKE2b over the record count ``n``, the digests
+    of both columns' field lengths (:func:`length_facts`) and both
+    plain joins.  The lengths frame the joins, so distinct record sets
+    never hash the same bytes."""
+    h = blake2b(digest_size=8)
+    h.update(n.to_bytes(8, "little"))
+    h.update(key_lens)
+    h.update(val_lens)
+    h.update(b"".join(keys))
+    h.update(b"".join(vals))
+    return h.hexdigest()
 
 
 def field_lengths(items: Sequence[bytes]) -> np.ndarray:

@@ -94,8 +94,11 @@ class Accessor:
             span = max(0, stop - start)
             self.trace.touch(start, span)
             return self._data[idx]
+        n = len(self._data)
         if idx < 0:
-            idx += len(self._data)
+            idx += n
+        if not 0 <= idx < n:
+            raise IndexError("index out of range")
         self.trace.touch(idx, 1)
         return self._data[idx]
 
@@ -173,9 +176,7 @@ class HostAccessor(Accessor):
     Every read returns what :class:`Accessor` returns for the same
     bytes, but skips the ``trace.touch`` call: ``trace`` is the shared
     no-op :data:`NULL_TRACE`, kept only so code that reads it still
-    finds an (always empty) trace.  One difference: an index below
-    ``-len`` raises ``IndexError`` here, as ``bytes`` does, where the
-    traced view wraps it a second time.
+    finds an (always empty) trace.
     """
 
     __slots__ = ()

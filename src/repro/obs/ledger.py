@@ -50,10 +50,12 @@ LEDGER_DIR_ENV = KNOBS["ledger_dir"].env
 LEDGER_NAME = "runs.jsonl"
 #: Schema 2 added the tuner fields (``tuned``, ``tuner_choice``,
 #: ``tuner_predicted_cost``, ``tuner_error`` — all null for untuned
-#: runs); schema 3 added ``config``, the knobs not at their default.
+#: runs); schema 3 added ``config``, the knobs not at their default;
+#: schema 4 length-frames ``input_digest`` (:func:`digest_input`), so
+#: it never compares equal to an older line's.
 #: :func:`read_ledger` stays version-tolerant: readers use ``.get`` and
 #: must accept older lines with the fields absent.
-SCHEMA = 3
+SCHEMA = 4
 
 
 def ledger_path(settings=None) -> str:
@@ -72,16 +74,13 @@ def ledger_path(settings=None) -> str:
 def digest_input(kvs: "KeyValueSet") -> str:
     """Short stable digest of an input record set.
 
-    Joins the key and value columns through C-level hashing — cheap
-    enough to run on every job, and stable across processes (unlike
-    ``hash``).  Two runs with the same digest read the same input.
+    :attr:`KeyValueSet.digest <repro.framework.records.KeyValueSet.digest>`:
+    hashed once per record set and memoised, stable across processes
+    (unlike ``hash``) and length-framed, so two runs with the same
+    digest read the same input.  Schema 4 changed its framing; digests
+    of older lines do not compare with newer ones.
     """
-    h = blake2b(digest_size=8)
-    h.update(len(kvs).to_bytes(8, "little"))
-    h.update(b"\x1f".join(kvs.keys))
-    h.update(b"\x1e")
-    h.update(b"\x1f".join(kvs.values))
-    return h.hexdigest()
+    return kvs.digest
 
 
 def kernel_digest(*stats: "KernelStats") -> str:

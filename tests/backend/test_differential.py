@@ -9,7 +9,7 @@ matrix does).
 
 A third executor rides along: the fast backend with the spill store
 forced down to a tiny budget, so every case's shuffle goes through
-sorted runs and the k-way merge.  Its contract is the strictest —
+sorted runs and the windowed merge.  Its contract is the strictest —
 byte-identical to the memory-store fast run, records *and* order.
 
 A fourth executor is the columnar fast backend

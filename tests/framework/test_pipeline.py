@@ -141,3 +141,36 @@ class TestIterativeJob:
         assert names == ["io_in", "map", "shuffle", "reduce", "io_out"]
         if res.converged:
             assert any(e.name == "converged" for e in tr.instants)
+
+    def test_tuned_iterations_hash_the_input_once(self, monkeypatch):
+        """The tuner and the ledger read each iteration's input digest
+        from the record set's memo: five tuned KMeans iterations over
+        one input hash it once."""
+        from dataclasses import replace
+
+        from repro.framework import records
+        from repro.obs.ledger import ledger_path, read_ledger
+        from repro.workloads.kmeans import km_map_batch, km_reduce_batch
+
+        hashed = []
+        hash_columns = records.hash_columns
+
+        def counting_hash(*args):
+            hashed.append(args[0])
+            return hash_columns(*args)
+
+        monkeypatch.setattr(records, "hash_columns", counting_hash)
+        monkeypatch.setenv("REPRO_AUTOTUNE", "1")
+        _, inp, init = km_problem()
+        job = make_job(
+            make_spec=lambda i, c: replace(
+                km_spec(c), map_batch=km_map_batch,
+                reduce_batch=km_reduce_batch),
+            converged=lambda i, old, new: False,
+            mode=None, config=None)
+        res = job.run(inp, init, max_iterations=5)
+        assert res.n_iterations == 5
+        assert hashed == [len(inp)]
+        runs = list(read_ledger(ledger_path()))
+        assert [r["tuned"] for r in runs] == [True] * 5
+        assert {r["input_digest"] for r in runs} == {inp.digest}

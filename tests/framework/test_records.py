@@ -1,5 +1,8 @@
 """Tests for record sets, device images, and output buffers."""
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +63,44 @@ class TestKeyValueSet:
         assert a == b
         b.append(b"x", b"y")
         assert a != b
+
+    def test_widths(self):
+        kvs = KeyValueSet([(b"ab", b"xyz"), (b"cd", b"x")])
+        assert kvs.key_width == 2 and kvs.val_width is None
+        assert KeyValueSet().key_width is None
+        kvs.append(b"e", b"w")
+        assert kvs.key_width is None and kvs.key_bytes == 5
+
+    def test_digest_is_length_framed(self):
+        # Separator-joined digests gave both sets 22423e50f05ce002.
+        a = KeyValueSet([(b"a\x1fb", b"v"), (b"", b"w")])
+        b = KeyValueSet([(b"a", b"v"), (b"b\x1f", b"w")])
+        assert a.digest != b.digest
+        assert len(a.digest) == 16 and int(a.digest, 16) >= 0
+        assert KeyValueSet(list(a)).digest == a.digest
+
+    def test_digest_encoding_is_pinned(self):
+        # The count (u64), a 16-byte BLAKE2b of each column's u32 field
+        # lengths, then the two plain joins: a new encoding must bump
+        # ledger.SCHEMA.
+        a = KeyValueSet([(b"a\x1fb", b"v"), (b"", b"w")])
+        h = hashlib.blake2b(digest_size=8)
+        for part in ((2).to_bytes(8, "little"),
+                     hashlib.blake2b(struct.pack("<2I", 3, 0),
+                                     digest_size=16).digest(),
+                     hashlib.blake2b(struct.pack("<2I", 1, 1),
+                                     digest_size=16).digest(),
+                     b"a\x1fb", b"vw"):
+            h.update(part)
+        assert a.digest == h.hexdigest() == "c08d975da1ae281a"
+
+    def test_digest_follows_appends(self):
+        kvs = KeyValueSet([(b"k", b"v")])
+        before = kvs.digest
+        kvs.keys.append(b"k")
+        kvs.values.append(b"v")
+        assert kvs.digest != before
+        assert kvs.digest == KeyValueSet([(b"k", b"v")] * 2).digest
 
 
 class TestDeviceRecordSet:

@@ -55,6 +55,13 @@ class TestAccessor:
         assert a[-1] == ord("d")
         assert a[0:5] == b"hello"
 
+    @pytest.mark.parametrize("idx", [-4, -5, 3, 4])
+    def test_index_out_of_range_raises_untraced(self, idx):
+        a = Accessor(b"abc")
+        with pytest.raises(IndexError):
+            a[idx]
+        assert a.trace.words == []
+
     def test_sequential_scan_trace_is_word_count(self):
         data = bytes(64)
         a = Accessor(data)
@@ -147,13 +154,10 @@ class TestHostAccessor:
                                                     stop, count, needle):
         traced, host = Accessor(data), HostAccessor(data)
         start = max(0, off)
-        # Below -len(data) the traced index wraps a second time, which
-        # bytes indexing (and so the host view) rejects; stay above it.
-        idx = max(off, -len(data))
         reads = [
             lambda a: len(a),
             lambda a: a.to_bytes(),
-            lambda a: a[idx],
+            lambda a: a[off],
             lambda a: a[off:stop],
             lambda a: a[start::2],
             lambda a: list(a),
