@@ -174,3 +174,20 @@ class TestTimelineMarks:
         assert len(marks) == 1
         assert marks[0].attrs == {"stage": 1}
         assert marks[0].time > 0.0
+
+    def test_ctx_mark_reads_the_clock_of_its_own_step(self):
+        # Warp 1 issues one issue slot (4 cycles) behind warp 0, so each
+        # mark carries its own warp's wake time, not a stale clock.
+        dev = make_device()
+
+        def k(ctx):
+            yield from ctx.compute(10)
+            ctx.mark("checkpoint")
+            yield from ctx.compute(10)
+
+        tl = Timeline()
+        dev.launch(k, grid=1, block=64, timeline=tl)
+        assert [(m.warp, m.time) for m in tl.marks] == [(0, 10.0), (1, 14.0)]
+        assert [(e.warp, e.start, e.end) for e in tl.events] == [
+            (0, 0.0, 10.0), (1, 4.0, 14.0), (0, 10.0, 20.0), (1, 14.0, 24.0),
+        ]
