@@ -19,6 +19,9 @@ The engine runs a kernel launch to completion and returns a
 * **Blocks.** A block dispatcher starts as many blocks per MP as the
   occupancy calculation allows and backfills as blocks retire,
   matching Section II-A's description of block scheduling.
+* **Observers.** A sanitizer (``checker``) and a timeline hook into the
+  one event loop at fixed points and never change a cycle count
+  (pinned by ``tests/gpu/test_observer_parity.py``).
 
 Determinism: events are ordered by ``(time, sequence_number)``; no
 randomness or wall-clock time is consulted anywhere.
@@ -270,96 +273,21 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _event_loop(self) -> None:
-        # The event loop allocates huge numbers of short-lived objects
-        # (heap tuples, op lists, accessors); CPython's generational GC
-        # pays a gen-0 pass every ~700 allocations for nothing — kernel
-        # state is acyclic and dies with the launch.  Host-only change:
-        # simulated timing is unaffected.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if self.checker is not None or self.timeline is not None:
-                self._event_loop_observed()
-            else:
-                self._event_loop_fast()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        if self._blocks_live:
-            waiting = sum(
-                1
-                for mp in self.mps
-                for _ in range(mp.active_blocks)
-            )
-            msg = (
-                f"{self._blocks_live} block(s) still resident with no runnable "
-                f"warp (barrier divergence or unsatisfiable wait); "
-                f"{waiting} block slots affected"
-            )
-            if self.checker is not None:
-                self.checker.note_deadlock(msg)
-            raise DeadlockError(msg)
-
-    def _event_loop_observed(self) -> None:
-        """Event loop with tracer/sanitizer hooks enabled.
-
-        Timing math here must stay expression-for-expression identical
-        to :meth:`_event_loop_fast` — observers may never change cycle
-        counts (pinned by the observer-parity tests).
-        """
-        heap = self._heap
-        checker = self.checker
-        while heap:
-            t, _, warp = heapq.heappop(heap)
-            if warp.done:
-                continue
-            if checker is not None:
-                # Attribute upcoming functional memory traffic (both a
-                # coroutine step and a Poll re-probe read smem).
-                checker.set_current(warp)
-            self._now = max(self._now, t)
-            if self._now > self.max_cycles:
-                raise DeadlockError(
-                    f"simulation exceeded max_cycles={self.max_cycles}"
-                )
-            mp = warp.block.mp
-            t_issue = max(t, mp.issue_free)
-            mp.issue_free = t_issue + self.timing.issue_cycles
-            self._now = max(self._now, t_issue)
-
-            # Re-probe of an unsatisfied Poll: no coroutine step needed.
-            if warp.retry_op is not None:
-                op: Op = warp.retry_op
-                warp.retry_op = None
-            else:
-                try:
-                    op = warp.gen.send(warp.inbox)
-                except StopIteration:
-                    self._retire_warp(warp, t_issue)
-                    continue
-                except Exception as exc:  # pragma: no cover - defensive
-                    if isinstance(exc, (DeadlockError, BarrierDivergenceError)):
-                        raise
-                    raise KernelFault(
-                        f"kernel raised in block {warp.block.block_id} "
-                        f"warp {warp.warp_id}: {exc!r}"
-                    ) from exc
-                warp.inbox = None
-
-            self._execute(warp, op, t_issue)
-
-    def _event_loop_fast(self) -> None:
-        """Null-observer event loop (no checker, no timeline).
+        """Run the launch's events until no warp is left to wake.
 
         The hot path of the whole simulator: everything the per-event
         work touches is hoisted into locals, instruction dispatch is
-        ordered by measured frequency, and per-category counters and
-        stall totals accumulate in locals that are flushed once at the
-        end (kernel coroutines never read them mid-launch).  The
-        timing expressions mirror :meth:`_event_loop_observed` /
-        :meth:`_execute` exactly; only observer calls are elided.
+        ordered by measured frequency (rare instructions go to
+        :meth:`_execute_cold`), and per-category counters and stall
+        totals accumulate in locals that are flushed once at the end
+        (kernel coroutines never read them mid-launch).
+
+        Observers hook in at fixed points and never take part in a
+        timing expression: the sanitizer (``checker``) hears which warp
+        steps next, each op's progress, each failed poll, each global
+        atomic and each barrier arrival; the timeline records every
+        instruction's (issue, completion) interval.  Pinned by the
+        observer-parity matrix in ``tests/gpu/test_observer_parity.py``.
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -377,12 +305,26 @@ class Engine:
         l2 = self.l2
         uses_texture = self.uses_texture
         max_cycles = self.max_cycles
+        checker = self.checker
+        timeline = self.timeline
+        observed = checker is not None or timeline is not None
         now = self._now
         seq = self._seq
+        # Each category's key enters ``stall`` at its first use, so the
+        # dict keeps the order per-event ``stats.stall`` calls would
+        # give it (``stall_breakdown`` sums in that order).
         n_cold = n_shared = n_polls = n_compute = 0
         n_gwrites = n_greads = n_ashared = 0
         s_shared = s_poll = s_compute = 0.0
         s_gwrite = s_gread = s_ashared = 0.0
+        # The event loop allocates huge numbers of short-lived objects
+        # (heap tuples, op lists, accessors); CPython's generational GC
+        # pays a gen-0 pass every ~700 allocations for nothing — kernel
+        # state is acyclic and dies with the launch.  Host-only change:
+        # simulated timing is unaffected.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         try:
             # ``item`` is the next event to process when already in
             # hand: every dispatch branch reschedules its warp with a
@@ -412,6 +354,14 @@ class Engine:
                 mp.issue_free = t_issue + issue_cycles
                 if t_issue > now:
                     now = t_issue
+                if observed:
+                    # ``WarpCtx.mark`` reads ``Engine.now`` mid-step.
+                    self._now = now
+                    if checker is not None:
+                        # Attribute upcoming functional memory traffic
+                        # (both a coroutine step and a Poll re-probe
+                        # read smem).
+                        checker.set_current(warp)
 
                 op = warp.retry_op
                 if op is not None:
@@ -440,20 +390,34 @@ class Engine:
 
                 if ty is SharedRead or ty is SharedWrite:
                     n_shared += 1
+                    if n_shared == 1:
+                        stall.setdefault("shared", 0.0)
                     lat = shared_latency + (op.conflict - 1) * conflict_penalty
                     s_shared += lat
+                    if observed:
+                        self._observe(warp, "shared", t_issue, t_issue + lat)
                     seq += 1
                     item = pushpop(heap, (t_issue + lat, seq, warp))
 
                 elif ty is Poll:
                     n_polls += 1
+                    if n_polls == 1:
+                        stall.setdefault("poll", 0.0)
                     if op.check():
                         warp.inbox = True
                         warp.poll_retries = 0
                         s_poll += issue_cycles
+                        if observed:
+                            self._observe(
+                                warp, "poll", t_issue, t_issue + issue_cycles
+                            )
                         seq += 1
                         item = pushpop(heap, (t_issue + issue_cycles, seq, warp))
                     else:
+                        # A failed probe is not progress: the checker
+                        # hears it as a possible deadlock instead.
+                        if checker is not None and checker.poll_blocked(warp):
+                            raise DeadlockError(checker.deadlock_reason())
                         warp.poll_retries += 1
                         if warp.poll_retries > MAX_POLL_RETRIES:
                             raise DeadlockError(
@@ -464,18 +428,29 @@ class Engine:
                         warp.retry_op = op
                         interval = op.interval
                         s_poll += interval
+                        if timeline is not None:
+                            timeline.record(
+                                warp.block.block_id, warp.warp_id, "poll",
+                                t_issue, t_issue + interval,
+                            )
                         seq += 1
                         item = pushpop(heap, (t_issue + interval, seq, warp))
 
                 elif ty is Compute:
                     n_compute += 1
+                    if n_compute == 1:
+                        stall.setdefault("compute", 0.0)
                     cycles = op.cycles
                     s_compute += cycles
+                    if observed:
+                        self._observe(warp, "compute", t_issue, t_issue + cycles)
                     seq += 1
                     item = pushpop(heap, (t_issue + cycles, seq, warp))
 
                 elif ty is GlobalWrite:
                     n_gwrites += 1
+                    if n_gwrites == 1:
+                        stall.setdefault("global_write", 0.0)
                     if l2 is None:
                         ntxn = op.ntxn
                         if ntxn is not None:
@@ -515,19 +490,27 @@ class Engine:
                     if uses_texture:
                         self._mark_texture_dirty(op)
                     s_gwrite += done - t_issue
+                    if observed:
+                        self._observe(warp, "global_write", t_issue, done)
                     seq += 1
                     item = pushpop(heap, (done, seq, warp))
 
                 elif ty is AtomicShared:
                     n_ashared += 1
+                    if n_ashared == 1:
+                        stall.setdefault("shared_atomic", 0.0)
                     done = warp.block.shared_atomics.request(op.addr, t_issue)
                     warp.inbox = op.old
                     s_ashared += done - t_issue
+                    if observed:
+                        self._observe(warp, "shared_atomic", t_issue, done)
                     seq += 1
                     item = pushpop(heap, (done, seq, warp))
 
                 elif ty is GlobalRead:
                     n_greads += 1
+                    if n_greads == 1:
+                        stall.setdefault("global_read", 0.0)
                     if l2 is None:
                         ntxn = op.ntxn
                         if ntxn is not None:
@@ -559,6 +542,8 @@ class Engine:
                         )
                         done = l2.access_read(memsys, t_issue, ranges)
                     s_gread += done - t_issue
+                    if observed:
+                        self._observe(warp, "global_read", t_issue, done)
                     seq += 1
                     item = pushpop(heap, (done, seq, warp))
 
@@ -582,32 +567,70 @@ class Engine:
             st.global_reads += n_greads
             st.atomics_shared += n_ashared
             if n_shared:
-                stall["shared"] = stall.get("shared", 0.0) + s_shared
+                stall["shared"] += s_shared
             if n_polls:
-                stall["poll"] = stall.get("poll", 0.0) + s_poll
+                stall["poll"] += s_poll
             if n_compute:
-                stall["compute"] = stall.get("compute", 0.0) + s_compute
+                stall["compute"] += s_compute
             if n_gwrites:
-                stall["global_write"] = (
-                    stall.get("global_write", 0.0) + s_gwrite
-                )
+                stall["global_write"] += s_gwrite
             if n_greads:
-                stall["global_read"] = stall.get("global_read", 0.0) + s_gread
+                stall["global_read"] += s_gread
             if n_ashared:
-                stall["shared_atomic"] = (
-                    stall.get("shared_atomic", 0.0) + s_ashared
-                )
+                stall["shared_atomic"] += s_ashared
+            if gc_was_enabled:
+                gc.enable()
+
+        if self._blocks_live:
+            msg = (
+                f"{self._blocks_live} block(s) still resident with no runnable "
+                f"warp (barrier divergence or unsatisfiable wait)"
+            )
+            if checker is not None:
+                checker.note_deadlock(msg)
+            raise DeadlockError(msg)
+
+    def _retire_warp(self, warp: _Warp, t: float) -> None:
+        warp.done = True
+        blk = warp.block
+        blk.warps_done += 1
+        if self.checker is not None:
+            self.checker.warp_retired(warp)
+        # A finished warp no longer participates in barriers; if the
+        # remaining warps are all parked at the barrier, release them.
+        self._maybe_release_barrier(blk, t)
+        if blk.warps_done == blk.n_warps:
+            self._blocks_live -= 1
+            blk.mp.active_blocks -= 1
+            self._start_block(blk.mp, at=t)
+
+    # ------------------------------------------------------------------
+    # Instruction semantics off the hot path, and observer hooks
+    # ------------------------------------------------------------------
+
+    def _observe(self, warp: _Warp, category: str, start: float, end: float
+                 ) -> None:
+        """Observer calls for one hot instruction, whose stall the loop
+        has already charged: progress for the sanitizer's liveness
+        monitor, the interval for the timeline."""
+        if self.checker is not None:
+            self.checker.op_progress(warp)
+        if self.timeline is not None:
+            self.timeline.record(
+                warp.block.block_id, warp.warp_id, category, start, end
+            )
 
     def _execute_cold(self, warp: _Warp, op: Op, t_issue: float) -> None:
-        """Rare instructions of the null-observer loop.
+        """The rare instructions, with their observer hooks.
 
-        Mirrors the corresponding :meth:`_execute` branches with the
-        checker hooks elided (this path only runs when no checker is
-        attached).  ``instructions`` has already been counted by the
-        caller.
+        ``instructions`` has already been counted by the caller; stalls
+        are charged through :meth:`_note`.
         """
         st = self.stats
         tm = self.timing
+        checker = self.checker
+        if checker is not None:
+            checker.op_progress(warp)
         ty = type(op)
 
         if ty is Barrier:
@@ -615,6 +638,8 @@ class Engine:
             blk = warp.block
             blk.barrier_waiting.append(warp)
             warp.barrier_arrived_at = t_issue
+            if checker is not None:
+                checker.barrier_wait(warp)
             self._maybe_release_barrier(blk, t_issue)
 
         elif ty is Fence:
@@ -626,6 +651,8 @@ class Engine:
             done = self.atomics.request(op.addr, t_issue)
             # Atomics also occupy crossbar/DRAM bandwidth.
             self.memsys.request_write(t_issue, 1, 4)
+            if checker is not None:
+                checker.atomic_global(op.addr, op.old, op.delta)
             warp.inbox = op.old
             self._note(warp, "atomic", t_issue, done)
             self._push(done, warp)
@@ -636,6 +663,10 @@ class Engine:
             for addr in op.addrs:
                 done = max(done, self.atomics.request(addr, t_issue))
             self.memsys.request_write(t_issue, len(op.addrs), 4 * len(op.addrs))
+            if checker is not None:
+                deltas = op.deltas or (0,) * len(op.addrs)
+                for addr, old, delta in zip(op.addrs, op.olds, deltas):
+                    checker.atomic_global(addr, old, delta)
             warp.inbox = tuple(op.olds)
             self._note(warp, "atomic", t_issue, done)
             self._push(done, warp)
@@ -668,8 +699,8 @@ class Engine:
         else:  # pragma: no cover - defensive
             raise KernelFault(f"unknown instruction {op!r}")
 
-    def _op_transactions(self, op: GlobalRead | GlobalWrite) -> int:
-        """Transaction count for a global access (memoized analysis)."""
+    def _op_transactions(self, op: GlobalWrite) -> int:
+        """Transaction count for a global write (memoized analysis)."""
         if op.ntxn is not None:
             return op.ntxn
         if op.addrs is not None:
@@ -679,173 +710,6 @@ class Engine:
         return contiguous_transactions(
             op.addr, op.nbytes, self.timing.txn_bytes
         )
-
-    def _retire_warp(self, warp: _Warp, t: float) -> None:
-        warp.done = True
-        blk = warp.block
-        blk.warps_done += 1
-        if self.checker is not None:
-            self.checker.warp_retired(warp)
-        # A finished warp no longer participates in barriers; if the
-        # remaining warps are all parked at the barrier, release them.
-        self._maybe_release_barrier(blk, t)
-        if blk.warps_done == blk.n_warps:
-            self._blocks_live -= 1
-            blk.mp.active_blocks -= 1
-            self._start_block(blk.mp, at=t)
-
-    # ------------------------------------------------------------------
-    # Instruction semantics
-    # ------------------------------------------------------------------
-
-    def _execute(self, warp: _Warp, op: Op, t_issue: float) -> None:
-        st = self.stats
-        st.instructions += 1
-        tm = self.timing
-        checker = self.checker
-        if checker is not None and type(op) is not Poll:
-            # Any non-Poll instruction is progress for the liveness
-            # monitor (Polls report success/failure themselves below).
-            checker.op_progress(warp)
-
-        if type(op) is Compute:
-            st.compute_ops += 1
-            self._note(warp, "compute", t_issue, t_issue + op.cycles)
-            self._push(t_issue + op.cycles, warp)
-
-        elif type(op) is SharedRead or type(op) is SharedWrite:
-            st.shared_ops += 1
-            lat = tm.shared_latency + (op.conflict - 1) * tm.bank_conflict_penalty
-            self._note(warp, "shared", t_issue, t_issue + lat)
-            self._push(t_issue + lat, warp)
-
-        elif type(op) is GlobalRead:
-            st.global_reads += 1
-            ntxn = self._op_transactions(op)
-            nbytes = bytes_touched(nbytes=op.nbytes, addrs=op.addrs)
-            if self.l2 is not None:
-                ranges = list(op.addrs) if op.addrs is not None else [
-                    (op.addr, op.nbytes)
-                ]
-                done = self.l2.access_read(self.memsys, t_issue, ranges)
-            else:
-                done = self.memsys.request_read(t_issue, ntxn, nbytes)
-            self._note(warp, "global_read", t_issue, done)
-            self._push(done, warp)
-
-        elif type(op) is GlobalWrite:
-            st.global_writes += 1
-            ntxn = self._op_transactions(op)
-            nbytes = bytes_touched(nbytes=op.nbytes, addrs=op.addrs)
-            if self.l2 is not None:
-                ranges = list(op.addrs) if op.addrs is not None else [
-                    (op.addr, op.nbytes)
-                ]
-                done = self.l2.access_write(
-                    self.memsys, t_issue, ranges, ntxn, nbytes
-                )
-            else:
-                done = self.memsys.request_write(t_issue, ntxn, nbytes)
-            if self.uses_texture:
-                self._mark_texture_dirty(op)
-            self._note(warp, "global_write", t_issue, done)
-            self._push(done, warp)
-
-        elif type(op) is AtomicGlobal:
-            st.atomics_global += 1
-            done = self.atomics.request(op.addr, t_issue)
-            # Atomics also occupy crossbar/DRAM bandwidth.
-            self.memsys.request_write(t_issue, 1, 4)
-            if checker is not None:
-                checker.atomic_global(op.addr, op.old, op.delta)
-            warp.inbox = op.old
-            self._note(warp, "atomic", t_issue, done)
-            self._push(done, warp)
-
-        elif type(op) is AtomicGlobalMulti:
-            st.atomics_global += len(op.addrs)
-            done = t_issue
-            for addr in op.addrs:
-                done = max(done, self.atomics.request(addr, t_issue))
-            self.memsys.request_write(t_issue, len(op.addrs), 4 * len(op.addrs))
-            if checker is not None:
-                deltas = op.deltas or (0,) * len(op.addrs)
-                for addr, old, delta in zip(op.addrs, op.olds, deltas):
-                    checker.atomic_global(addr, old, delta)
-            warp.inbox = tuple(op.olds)
-            self._note(warp, "atomic", t_issue, done)
-            self._push(done, warp)
-
-        elif type(op) is AtomicShared:
-            st.atomics_shared += 1
-            unit = warp.block.shared_atomics
-            done = unit.request(op.addr, t_issue)
-            warp.inbox = op.old
-            self._note(warp, "shared_atomic", t_issue, done)
-            self._push(done, warp)
-
-        elif type(op) is TextureRead:
-            st.texture_reads += 1
-            tex = warp.block.mp.texture
-            if tex is None:
-                raise LaunchError(
-                    "TextureRead in a launch without uses_texture=True"
-                )
-            hit_lines = miss_lines = 0
-            for addr, size in op.addrs:
-                h, m = tex.access(addr, size)
-                hit_lines += h
-                miss_lines += m
-            if miss_lines:
-                fill_bytes = miss_lines * self.config.texture_line_bytes
-                ntxn = max(1, fill_bytes // tm.txn_bytes)
-                done = self.memsys.request_read(t_issue, ntxn, fill_bytes)
-                done = max(done, t_issue + tm.texture_miss_latency)
-            else:
-                done = t_issue + tm.texture_hit_latency
-            self._note(warp, "texture", t_issue, done)
-            self._push(done, warp)
-
-        elif type(op) is Barrier:
-            st.barriers += 1
-            blk = warp.block
-            blk.barrier_waiting.append(warp)
-            warp.barrier_arrived_at = t_issue
-            if checker is not None:
-                checker.barrier_wait(warp)
-            self._maybe_release_barrier(blk, t_issue)
-
-        elif type(op) is Fence:
-            st.fences += 1
-            self._push(t_issue + tm.fence_cycles, warp)
-
-        elif type(op) is Poll:
-            st.polls += 1
-            if op.check():
-                if checker is not None:
-                    checker.op_progress(warp)
-                warp.inbox = True
-                warp.poll_retries = 0
-                self._note(warp, "poll", t_issue, t_issue + tm.issue_cycles)
-                self._push(t_issue + tm.issue_cycles, warp)
-            else:
-                if checker is not None and checker.poll_blocked(warp):
-                    raise DeadlockError(checker.deadlock_reason())
-                warp.poll_retries += 1
-                if warp.poll_retries > MAX_POLL_RETRIES:
-                    raise DeadlockError(
-                        f"warp {warp.warp_id} of block {warp.block.block_id} "
-                        f"exceeded {MAX_POLL_RETRIES} poll probes"
-                    )
-                warp.retry_op = op
-                self._note(warp, "poll", t_issue, t_issue + op.interval)
-                self._push(t_issue + op.interval, warp)
-
-        elif type(op) is Nop:
-            self._push(t_issue, warp)
-
-        else:  # pragma: no cover - defensive
-            raise KernelFault(f"unknown instruction {op!r}")
 
     def _note(self, warp: _Warp, category: str, start: float, end: float
               ) -> None:

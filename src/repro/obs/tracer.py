@@ -34,7 +34,7 @@ hot path stays free of conditionals and allocation.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -320,9 +320,8 @@ class NullTracer:
     kernel_detail = False
     wall_clock = False
 
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[None]:
-        yield None
+    def span(self, name: str, **attrs) -> nullcontext:
+        return _NULL_SPAN
 
     def advance(self, cycles: float) -> None:
         pass
@@ -339,6 +338,9 @@ class NullTracer:
     def kernel(self, name, stats, timeline=None, **attrs) -> None:
         return None
 
+
+#: The one context every untraced span enters (no generator per span).
+_NULL_SPAN = nullcontext()
 
 #: Shared no-op tracer used whenever ``tracer=None`` is passed.
 NULL_TRACER = NullTracer()

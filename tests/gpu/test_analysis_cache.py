@@ -199,17 +199,3 @@ def test_cold_and_warm_caches_give_identical_cycles():
     assert cold.timings.map == warm.timings.map
     assert cold.timings.reduce == warm.timings.reduce
     assert cold.output == warm.output
-
-
-def test_observed_and_fast_event_loops_agree():
-    """The tracer-enabled ('observed') event loop and the null-observer
-    fast path must produce identical timing and outputs."""
-    from repro.obs.tracer import Tracer
-
-    fast = _run_wc()
-    clear_all_caches()
-    observed = _run_wc(tracer=Tracer())
-    assert fast.total_cycles == observed.total_cycles
-    assert fast.map_stats.cycles == observed.map_stats.cycles
-    assert fast.map_stats.instructions == observed.map_stats.instructions
-    assert fast.output == observed.output

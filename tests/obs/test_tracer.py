@@ -1,7 +1,5 @@
 """Tracer core: clock, span nesting, kernel ingestion, null tracer."""
 
-import pytest
-
 from repro.gpu.stats import KernelStats
 from repro.gpu.timeline import Timeline
 from repro.obs import NULL_TRACER, NullTracer, Tracer
@@ -156,19 +154,3 @@ class TestNullTracer:
 
     def test_shared_singleton(self):
         assert isinstance(NULL_TRACER, NullTracer)
-
-    def test_run_job_without_tracer_unchanged(self):
-        """Passing tracer=None must not perturb job timings."""
-        from repro.framework import MemoryMode, ReduceStrategy
-        from repro.framework.job import run_job
-        from repro.gpu import DeviceConfig
-        from repro.workloads import WordCount
-
-        wc = WordCount()
-        inp = wc.generate("small", seed=0)
-        kw = dict(mode=MemoryMode.SIO, strategy=ReduceStrategy.TR,
-                  config=DeviceConfig.small(1))
-        plain = run_job(wc.spec(), inp, **kw)
-        traced = run_job(wc.spec(), inp, tracer=Tracer(), **kw)
-        assert plain.total_cycles == pytest.approx(traced.total_cycles)
-        assert plain.timings.as_dict() == traced.timings.as_dict()
