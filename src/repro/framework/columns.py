@@ -25,10 +25,11 @@ al.'s Xeon Phi runtime SIMD-vectorizes its phases:
   dict-of-lists group-by.  Fixed-width keys up to 8 bytes sort as one
   big-endian integer argsort (big-endian packing makes integer order
   equal lexicographic byte order); wider fixed keys lexsort 8-byte
-  limbs; variable-width keys are hash-grouped — only the distinct
-  keys are sorted (as ``bytes``, so byte order is exact), each record
-  is coded by its key's rank, and a stable argsort over the rank codes
-  orders the records;
+  limbs; variable-width keys are hash-grouped in one dict pass that
+  codes each record by its key's first-occurrence index — only the
+  distinct keys are sorted (as ``bytes``, so byte order is exact), a
+  rank table turns first-occurrence codes into rank codes, and a
+  stable argsort over the rank codes orders the records;
 * :class:`GroupedColumns` — the grouped intermediate: one entry per
   distinct key, an ``int64`` boundary array and the value column in
   group-major emission order.  Iterating it yields the same
@@ -350,6 +351,13 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
     (``len(starts) - 1`` groups); ``vectorized`` reports whether the
     fixed-width array sort ran (``False``: ragged keys were
     hash-grouped).
+
+    Ragged keys cost one hash per record: one ``dict.setdefault``
+    pass codes each record by the index where its key first occurs,
+    the distinct keys alone are sorted, and an ``n``-sized rank table
+    (``rank[first index of the j-th smallest key] = j``, in the
+    narrowest dtype that holds the group count, so numpy's radix sort
+    applies) turns those codes into rank codes with one gather.
     """
     n = len(keys)
     if n == 0:
@@ -384,20 +392,24 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
             np.array([n], dtype=np.int64),
         ))
         return order, starts, True
-    # Ragged keys: hash-group.  Only the distinct keys are sorted
-    # (Python compares raw bytes); each record is coded by its key's
-    # rank, so a stable argsort over the codes orders the records by
-    # key and keeps equal keys in emission order.
+    # Ragged keys: one hash pass, then the rank table (see above).
+    # Python sorts the distinct keys by raw bytes, and the stable
+    # argsort keeps equal keys in emission order.
     items = keys.tolist()
-    distinct = sorted(dict.fromkeys(items))
-    rank = dict(zip(distinct, range(len(distinct))))
+    first: dict[bytes, int] = {}
+    firsts = np.fromiter(map(first.setdefault, items, range(n)),
+                         dtype=np.min_scalar_type(n), count=n)
+    distinct = sorted(first)
+    k = len(distinct)
     # The narrowest code dtype: numpy's stable sort is a radix sort
     # for codes of 16 bits or fewer.
-    codes = np.fromiter(map(rank.__getitem__, items),
-                        dtype=np.min_scalar_type(len(distinct)), count=n)
+    rank = np.empty(n, dtype=np.min_scalar_type(k))
+    rank[np.fromiter(map(first.__getitem__, distinct), dtype=np.intp,
+                     count=k)] = np.arange(k)
+    codes = rank[firsts]
     order = np.argsort(codes, kind="stable").astype(np.int64, copy=False)
-    starts = np.zeros(len(distinct) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(codes, minlength=len(distinct)), out=starts[1:])
+    starts = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=k), out=starts[1:])
     return order, starts, False
 
 
@@ -412,28 +424,24 @@ class GroupedColumns:
     :class:`~repro.store.memory.MemoryStore` yields.
     """
 
-    __slots__ = ("keys", "offsets", "values", "stats", "vectorized")
+    __slots__ = ("keys", "offsets", "values", "vectorized")
 
     def __init__(self, keys: Column, offsets: np.ndarray, values: Column,
-                 *, stats=None, vectorized: bool = True):
+                 *, vectorized: bool = True):
         self.keys = keys
         self.offsets = offsets
         self.values = values
-        #: Producing store's StoreStats (spill accounting), if any.
-        self.stats = stats
         #: Did the fixed-width array sort run (vs ragged hash grouping)?
         self.vectorized = vectorized
 
     @classmethod
-    def from_batch(cls, cols: ColumnBatch, *, stats=None
-                   ) -> "GroupedColumns":
+    def from_batch(cls, cols: ColumnBatch) -> "GroupedColumns":
         order, starts, vectorized = sort_and_group(cols.keys)
         first = order[starts[:-1]]
         return cls(
             keys=cols.keys.take(first),
             offsets=starts,
             values=cols.values.take(order),
-            stats=stats,
             vectorized=vectorized,
         )
 

@@ -52,10 +52,13 @@ LEDGER_NAME = "runs.jsonl"
 #: ``tuner_predicted_cost``, ``tuner_error`` — all null for untuned
 #: runs); schema 3 added ``config``, the knobs not at their default;
 #: schema 4 length-frames ``input_digest`` (:func:`digest_input`), so
-#: it never compares equal to an older line's.
+#: it never compares equal to an older line's; schema 5 leaves the
+#: analysis-cache counters out of ``kernel_digest``
+#: (:func:`kernel_digest`), so a sim line's digest does not compare
+#: with an older line's either.
 #: :func:`read_ledger` stays version-tolerant: readers use ``.get`` and
 #: must accept older lines with the fields absent.
-SCHEMA = 4
+SCHEMA = 5
 
 
 def ledger_path(settings=None) -> str:
@@ -83,16 +86,26 @@ def digest_input(kvs: "KeyValueSet") -> str:
     return kvs.digest
 
 
+#: Host-side memo counters: they move with the analysis caches'
+#: warmth (and with a sanitizer attached), never with the timing model.
+_HOST_COUNTERS = frozenset({"analysis_cache_hits", "analysis_cache_misses"})
+
+
 def kernel_digest(*stats: "KernelStats") -> str:
-    """Short digest over every numeric counter of the job's launches.
+    """Short digest over every simulated counter of the job's launches.
 
     Cycle counts, instruction mixes and stall totals all feed in, so
     any timing-model drift between two runs of the same input changes
     the digest — the ledger-level analogue of the golden-trace pin.
+    The analysis-cache hit/miss counts stay out: they count host-side
+    memo lookups, so the same job run cold and then warm in one
+    process would otherwise digest twice.
     """
     h = blake2b(digest_size=8)
     for st in stats:
         for f in dataclasses.fields(st):
+            if f.name in _HOST_COUNTERS:
+                continue
             value = getattr(st, f.name)
             if isinstance(value, (int, float)):
                 h.update(f"{f.name}={value!r};".encode())
@@ -150,9 +163,7 @@ def build_record(plan, inp, backend, result, *, wall_s: float,
         "workers": getattr(backend, "workers", None),
         "streamed": streamed,
         "records_in": len(inp),
-        # A tuned plan's decision already digested this same input.
-        "input_digest": (getattr(decision, "input_digest", None)
-                         or digest_input(inp)),
+        "input_digest": digest_input(inp),
         "output_records": len(result.output),
         "intermediate_records": result.intermediate_count,
         "sim_cycles": result.timings.total,

@@ -11,6 +11,16 @@ columnar store can then group with one vectorized argsort
 (:meth:`MemoryStore.column_groups`).  Mixed scalar + columnar
 emissions degrade gracefully: the chunks drain into the dict and the
 classic sorted-items path serves the groups — same bytes either way.
+
+Byte accounting for column chunks is lazy.  ``emit_columns`` counts
+records only; sizing a ragged column is a pass over every item, and
+the columnar Reduce never reads the bytes.  The chunks not yet sized
+are kept aside, and reading :attr:`MemoryStore.stats` adds their
+bytes to ``emitted_bytes``.  A memory store is unbounded — nothing
+ever leaves its buffer — so its ``peak_bytes`` is always its emitted
+total, and is set from it on that same read.  Reading ``stats`` at
+any point gives exactly what emitting the same records one at a time
+would have left.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..framework.records import KeyValueSet
-from .base import IntermediateStore, record_cost
+from .base import IntermediateStore, StoreStats, record_cost
 
 #: Per-record budget-accounting overhead (see :func:`record_cost`).
 _OVERHEAD = 16
@@ -33,6 +43,24 @@ class MemoryStore(IntermediateStore):
         super().__init__()
         self._groups: dict[bytes, list[bytes]] = {}
         self._columns: list = []  # ColumnBatch chunks, emission order
+        self._unsized: list = []  # chunks whose bytes stats lacks
+
+    @property
+    def stats(self) -> StoreStats:
+        """The store's accounting, with every column chunk sized."""
+        st = self._stats
+        if self._unsized:
+            chunks, self._unsized = self._unsized, []
+            st.emitted_bytes += sum(
+                c.key_bytes + c.val_bytes + _OVERHEAD * len(c)
+                for c in chunks
+            )
+        st.peak_bytes = st.emitted_bytes
+        return st
+
+    @stats.setter
+    def stats(self, st: StoreStats) -> None:
+        self._stats = st
 
     def emit(self, key: bytes, value: bytes) -> None:
         if self._columns:
@@ -42,19 +70,16 @@ class MemoryStore(IntermediateStore):
             self._groups[key] = [value]
         else:
             bucket.append(value)
-        st = self.stats
+        st = self._stats
         st.emitted_records += 1
         st.emitted_bytes += record_cost(key, value)
-        if st.emitted_bytes > st.peak_bytes:
-            st.peak_bytes = st.emitted_bytes
 
     def emit_many(self, pairs) -> None:
         if self._columns or not isinstance(pairs, KeyValueSet):
             super().emit_many(pairs)
             return
         # One inline group-by, then the stats :meth:`emit` would have
-        # reached record by record (emitted bytes only grow, so the
-        # peak is the final total).
+        # reached record by record.
         groups = self._groups
         get = groups.get
         for key, value in zip(pairs.keys, pairs.values):
@@ -64,11 +89,9 @@ class MemoryStore(IntermediateStore):
             else:
                 bucket.append(value)
         n = len(pairs)
-        st = self.stats
+        st = self._stats
         st.emitted_records += n
         st.emitted_bytes += pairs.key_bytes + pairs.val_bytes + _OVERHEAD * n
-        if st.emitted_bytes > st.peak_bytes:
-            st.peak_bytes = st.emitted_bytes
 
     def emit_columns(self, cols) -> None:
         n = len(cols)
@@ -80,11 +103,8 @@ class MemoryStore(IntermediateStore):
             super().emit_columns(cols)
             return
         self._columns.append(cols)
-        st = self.stats
-        st.emitted_records += n
-        st.emitted_bytes += cols.key_bytes + cols.val_bytes + _OVERHEAD * n
-        if st.emitted_bytes > st.peak_bytes:
-            st.peak_bytes = st.emitted_bytes
+        self._unsized.append(cols)
+        self._stats.emitted_records += n
 
     def _drain_columns(self) -> None:
         """Unroll retained column chunks into the dict (mixed mode)."""
@@ -122,17 +142,19 @@ class MemoryStore(IntermediateStore):
             batch = ColumnBatch.concat(chunks)
         else:
             batch = ColumnBatch.from_lists([], [])
-        self.stats.merge_fan_in = 1 if len(batch) else 0
-        return GroupedColumns.from_batch(batch, stats=self.stats)
+        self._stats.merge_fan_in = 1 if len(batch) else 0
+        return GroupedColumns.from_batch(batch)
 
     def iter_groups(self) -> Iterator[tuple[bytes, list[bytes]]]:
         if not self._finalized:
             self.finalize()
         if self._columns:
             self._drain_columns()
-        self.stats.merge_fan_in = 1 if self._groups else 0
+        self._stats.merge_fan_in = 1 if self._groups else 0
         yield from sorted(self._groups.items())
 
     def close(self) -> None:
+        # Chunks not yet sized stay referenced, so ``stats`` still
+        # reads right after close; they go with the store.
         self._groups = {}
         self._columns = []

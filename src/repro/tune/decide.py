@@ -67,9 +67,6 @@ class TunerDecision:
     #: How many candidates were priced.
     considered: int = 0
     stats: InputStats | None = None
-    #: :func:`~repro.obs.ledger.digest_input` of the decided input —
-    #: the ledger records it rather than hashing the input again.
-    input_digest: str | None = None
 
     @property
     def choice(self) -> str:
@@ -158,18 +155,15 @@ def decide_modes(
     threads_per_block: int | None = None,
     calibration: CalibrationState | None = None,
     stats: InputStats | None = None,
-    digest: str | None = None,
 ) -> TunerDecision:
     """Pick (mode, strategy, block size) by predicted simulated cycles.
 
     ``strategy="auto"`` (the default) explores TR vs BR; ``None`` pins
     a map-only job; a :class:`ReduceStrategy` pins itself.  A concrete
     ``threads_per_block`` pins the block size, ``None`` explores
-    :data:`TPB_CANDIDATES`.  ``digest`` is ``digest_input(inp)`` when
-    the caller already has it.
+    :data:`TPB_CANDIDATES`.
     """
-    digest = digest or digest_input(inp)
-    stats = stats or profile_input(spec, inp, digest=digest)
+    stats = stats or profile_input(spec, inp)
     calibration = calibration if calibration is not None \
         else load_calibration()
     constants = calibration.constants()
@@ -181,7 +175,8 @@ def decide_modes(
     }
     pick = min(priced, key=priced.get)
     source = "model"
-    hist = _history_candidate(calibration, spec, digest, candidates)
+    hist = _history_candidate(calibration, spec, digest_input(inp),
+                              candidates)
     if hist is not None and hist is not pick:
         pick, source = hist, "history"
     return TunerDecision(
@@ -193,7 +188,6 @@ def decide_modes(
         source=source,
         considered=len(candidates),
         stats=stats,
-        input_digest=digest,
     )
 
 
@@ -231,8 +225,7 @@ def decide_execution(
     the backend is constructed — the one place backend choice can
     still change.
     """
-    digest = digest_input(inp)
-    stats = stats or profile_input(spec, inp, digest=digest)
+    stats = stats or profile_input(spec, inp)
     calibration = calibration if calibration is not None \
         else load_calibration()
     constants = calibration.constants()
@@ -256,7 +249,8 @@ def decide_execution(
     }
     pick = min(priced, key=priced.get)
     source = "model"
-    hist = _history_candidate(calibration, spec, digest, candidates)
+    hist = _history_candidate(calibration, spec, digest_input(inp),
+                              candidates)
     if hist is not None and hist is not pick:
         pick, source = hist, "history"
 
@@ -264,8 +258,7 @@ def decide_execution(
         from ..gpu.config import DeviceConfig
         config = DeviceConfig.small(4)
     modes = decide_modes(spec, inp, config=config, strategy=strategy,
-                         calibration=calibration, stats=stats,
-                         digest=digest)
+                         calibration=calibration, stats=stats)
     return TunerDecision(
         mode=modes.mode,
         strategy=modes.strategy,
@@ -278,5 +271,4 @@ def decide_execution(
         source=source,
         considered=len(candidates) + modes.considered,
         stats=stats,
-        input_digest=digest,
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpu.accessor import Accessor, AccessTrace
+from ..obs.ledger import digest_input
 
 #: Sampling bounds: whichever is reached first ends the sample.
 SAMPLE_CAP_RECORDS = 4096
@@ -169,20 +170,14 @@ def profile_input(
     *,
     cap_records: int = SAMPLE_CAP_RECORDS,
     cap_bytes: int = SAMPLE_CAP_BYTES,
-    digest: str | None = None,
 ) -> InputStats:
     """Profile ``inp`` for ``spec`` under the sampling caps (memoised
-    on the input's content digest — ``digest``, when the caller
-    already has ``digest_input(inp)``).
+    on the input's content digest).
 
     Empty inputs profile to all-zero stats (every candidate then costs
     the same and the tuner falls back to the paper's default).
     """
-    if digest is None:
-        from ..obs.ledger import digest_input
-
-        digest = digest_input(inp)
-    key = (getattr(spec, "name", None), digest, len(inp),
+    key = (getattr(spec, "name", None), digest_input(inp), len(inp),
            cap_records, cap_bytes)
     hit = _PROFILE_CACHE.get(key)
     if hit is not None:

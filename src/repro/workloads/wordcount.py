@@ -43,7 +43,7 @@ def wc_map_batch(cols, *, const=None):
     as there.  Each word pairs with ``ONE``: no local combine, so the
     Reduce sees the same value lists as after the scalar Map.
     """
-    words = [w for w in b" ".join(cols.keys.tolist()).split(b" ") if w]
+    words = list(filter(None, b" ".join(cols.keys.tolist()).split(b" ")))
     return ColumnBatch(Column.from_list(words),
                        Column.repeated(ONE, len(words)))
 

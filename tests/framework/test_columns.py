@@ -8,6 +8,8 @@ trailing-NUL keys (zero-padding must not merge distinct keys) and
 ragged keys (lexicographic byte order, not length-first).
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,61 @@ class TestSortAndGroup:
         g = GroupedColumns.from_batch(ColumnBatch.from_lists(keys, vals))
         (_, got), = list(g)
         assert got == vals
+
+
+def _stable_ref(keys):
+    """Stable sort permutation and group starts, by plain Python."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    starts = [0] + [i for i in range(1, len(order))
+                    if keys[order[i]] != keys[order[i - 1]]]
+    return order, starts + [len(keys)]
+
+
+def _vocab(k, seed):
+    """``k`` distinct ragged keys whose first occurrences are shuffled
+    out of byte order (hex numerals: ``b"10" < b"9"``)."""
+    keys = [b"%x" % i for i in range(k)]
+    random.Random(seed).shuffle(keys)
+    return keys
+
+
+class TestRaggedRankCodes:
+    """The ragged branch codes records by first occurrence, then maps
+    those codes through a rank table whose dtype is the narrowest that
+    holds the group count.  Pinned against a stable sort at the u8/u16
+    code boundaries, for both the rank and the first-occurrence codes."""
+
+    def _check(self, keys):
+        order, starts, vectorized = sort_and_group(Column.from_list(keys))
+        assert not vectorized
+        assert order.dtype == np.int64 and starts.dtype == np.int64
+        want_order, want_starts = _stable_ref(keys)
+        assert order.tolist() == want_order
+        assert starts.tolist() == want_starts
+
+    @pytest.mark.parametrize("k", [255, 256, 257, 65535, 65536, 65537])
+    def test_code_dtype_boundaries(self, k):
+        keys = _vocab(k, seed=k)
+        rng = random.Random(-k)
+        keys += [rng.choice(keys) for _ in range(k // 2)]
+        self._check(keys)
+
+    @pytest.mark.parametrize("k", [255, 256, 257, 65535, 65536, 65537])
+    def test_duplicates_of_the_last_key_only(self, k):
+        keys = _vocab(k, seed=k)
+        last = max(keys)
+        self._check(keys + [last] * 3)
+        self._check([last] * 2 + keys)
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_empty_key_among_others(self, k):
+        keys = _vocab(k - 1, seed=k) + [b""]
+        random.Random(k).shuffle(keys)
+        self._check(keys + [b"", keys[0], b""])
+
+    def test_first_occurrences_in_reverse_key_order(self):
+        keys = sorted(_vocab(300, seed=1), reverse=True)
+        self._check(keys + keys[::-1] + keys)
 
 
 class TestGroupedColumns:

@@ -14,10 +14,10 @@ each leg:
 Each leg sets both observers explicitly, so the plain leg stays plain
 under ``REPRO_CHECK=1``.  Compared per leg: total cycles, the phase
 timings, a digest over every counter of the map and reduce stats, the
-stall dicts (in key order) and the output.  The analysis-cache hit/miss split is left
-out of the digest: it counts host-side memo lookups, and the kernels
-issue per-lane address lists (more lookups, same transaction counts)
-whenever a sanitizer is attached.
+stall dicts (in key order) and the output.  The digest leaves out the
+analysis-cache hit/miss split by itself: it counts host-side memo
+lookups, and the kernels issue per-lane address lists (more lookups,
+same transaction counts) whenever a sanitizer is attached.
 
 The timeline leg also checks what it recorded: per category, the
 recorded intervals add up to the stall totals the engine charged, so
@@ -27,7 +27,6 @@ loop charges fails here even though the cycles agree.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -112,13 +111,10 @@ def _stats(result):
 
 def _fingerprint(result):
     stats = _stats(result)
-    counted = [dataclasses.replace(st, analysis_cache_hits=0,
-                                   analysis_cache_misses=0)
-               for st in stats]
     return {
         "total_cycles": result.total_cycles,
         "timings": result.timings.as_dict(),
-        "kernel_digest": kernel_digest(*counted),
+        "kernel_digest": kernel_digest(*stats),
         # In key order too: ``stall_breakdown`` sums in that order.
         "stall_cycles": [list(st.stall_cycles.items()) for st in stats],
         "output": result.output,

@@ -8,6 +8,7 @@ from repro.config import resolve
 from repro.framework import MemoryMode, ReduceStrategy
 from repro.framework.job import run_job
 from repro.gpu import DeviceConfig
+from repro.gpu.analysis_cache import clear_all_caches
 from repro.obs import ledger
 from repro.workloads import WordCount
 
@@ -69,6 +70,21 @@ class TestRecording:
         a, b = ledger.read_ledger()
         assert a["input_digest"] == b["input_digest"]
         assert a["kernel_digest"] == b["kernel_digest"]
+
+    def test_sim_digest_ignores_analysis_cache_warmth(self, monkeypatch,
+                                                      tmp_path):
+        """The drift digest pins the timing model, not the host's memo
+        state: one sim job run cold, then warm, digests the same."""
+        monkeypatch.setenv(ledger.LEDGER_DIR_ENV, str(tmp_path))
+        clear_all_caches()
+        _run(backend="sim")
+        _run(backend="sim")
+        cold, warm = ledger.read_ledger()
+        # The two runs did meet the caches in different states.
+        assert cold["analysis_cache_hit_rate"] \
+            < warm["analysis_cache_hit_rate"]
+        assert cold["sim_cycles"] == warm["sim_cycles"]
+        assert cold["kernel_digest"] == warm["kernel_digest"]
 
     def test_sim_and_fast_share_input_digest(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ledger.LEDGER_DIR_ENV, str(tmp_path))

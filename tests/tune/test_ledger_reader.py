@@ -3,7 +3,7 @@
 A property pins it to a from-scratch parse of the same bytes through
 appends, torn and malformed lines, truncation, deletion and
 replacement by rename; a deterministic test pins what one tuned job
-costs: each ledger line is decoded once, the input is digested once.
+costs: each ledger line is decoded once, the input is hashed once.
 """
 
 import collections
@@ -15,6 +15,7 @@ import types
 
 import pytest
 
+from repro.framework import records
 from repro.framework.job import run_job
 from repro.framework.modes import ALL_MODES, ReduceStrategy
 from repro.obs import ledger
@@ -202,25 +203,27 @@ def test_tuned_job_decodes_each_line_once_and_digests_once(monkeypatch):
         decoded[bytes(line)] += 1
         return parse_line(line)
 
-    digests = []
-    digest_input = ledger.digest_input
+    # The tuner, the profiler and the ledger each ask for the input's
+    # digest; the record set memoises it, so its columns are hashed
+    # once however many jobs read it.
+    hashes = []
+    hash_columns = records.hash_columns
 
-    def counting_digest(kvs):
-        digests.append(kvs)
-        return digest_input(kvs)
+    def counting_hash(*args):
+        hashes.append(args)
+        return hash_columns(*args)
 
     monkeypatch.setattr(ledger, "parse_line", counting_parse)
-    monkeypatch.setattr(ledger, "digest_input", counting_digest)
-    monkeypatch.setattr(decide, "digest_input", counting_digest)
+    monkeypatch.setattr(records, "hash_columns", counting_hash)
 
     spec, inp = synthetic_case("numfixed", seed=0, scale=0.05)
     jobs = 50
-    for n in range(jobs):
+    for _ in range(jobs):
         run_job(spec, inp, strategy="TR", tune=True)
-        assert len(digests) == n + 1
-    for n in range(3):
+        assert len(hashes) == 1
+    for _ in range(3):
         run_job(spec, inp, mode="auto", strategy="TR", backend="fast")
-        assert len(digests) == jobs + n + 1
+        assert len(hashes) == 1
     load_calibration()  # consumes the last job's line
 
     with open(ledger.ledger_path(), "rb") as fh:
@@ -228,7 +231,7 @@ def test_tuned_job_decodes_each_line_once_and_digests_once(monkeypatch):
     assert len(lines) == jobs + 3
     assert decoded == collections.Counter(lines)
     assert set(decoded.values()) == {1}
-    want = digest_input(inp)
-    records = [json.loads(raw) for raw in lines]
-    assert [r["tuned"] for r in records] == [True] * (jobs + 3)
-    assert {r["input_digest"] for r in records} == {want}
+    want = ledger.digest_input(inp)
+    recs = [json.loads(raw) for raw in lines]
+    assert [r["tuned"] for r in recs] == [True] * (jobs + 3)
+    assert {r["input_digest"] for r in recs} == {want}
