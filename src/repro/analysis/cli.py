@@ -243,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.command != "validate" and any(
             getattr(args, name) is not None
-            for name in ("backend", "workers", "store", "memory_budget")):
-        print("repro-bench: --backend/--workers/--store/--memory-budget "
+            for name in ("backend", "store", "memory_budget")):
+        print("repro-bench: --backend/--store/--memory-budget "
               "only apply to 'validate' — every timing command needs "
               "the cycle-accurate simulator", file=sys.stderr)
         return 2

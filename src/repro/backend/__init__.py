@@ -14,16 +14,14 @@ are orthogonal to *how* they execute.  A
 * ``"columnar"`` — :class:`ColumnarBackend`: the fast executor pinned
   to the vectorized columnar path (batched numpy Map/Shuffle/Reduce
   via each workload's ``map_batch``/``reduce_batch`` kernels, scalar
-  fallback otherwise).  Equivalent to ``FastBackend(columnar=True)``
-  or ``$REPRO_COLUMNAR=1``.
+  fallback otherwise).  Equivalent to ``FastBackend(columnar=True)``.
 * ``"dist"`` — :class:`DistributedBackend`: the fast executor run as
   a coordinator over socket-connected worker processes, with
   worker-death re-execution, speculative straggler duplicates, and
   scriptable fault injection (:class:`repro.dist.FaultPlan`).  Its
   byte-split Map tasks and key-range Reduce tasks keep the output
   byte-identical to ``"fast"``.  ``"dist:N"`` pins the worker count;
-  plain ``"dist"`` takes the ``workers`` setting (``$REPRO_WORKERS``)
-  and defaults to the CPU count.
+  plain ``"dist"`` runs one worker per CPU.
 
 Select per call (``run_job(..., backend="fast")``), or process-wide
 with the ``backend`` setting (:mod:`repro.config`; ``$REPRO_BACKEND``),
@@ -32,7 +30,7 @@ which a driver called with ``backend=None`` takes.
 
 from __future__ import annotations
 
-from ..config import SHARDED_BACKENDS, resolve
+from ..config import resolve
 from .base import ExecutionBackend
 from .core import execute_plan
 from .distributed import DistributedBackend
@@ -55,16 +53,14 @@ def get_backend(backend: str | ExecutionBackend | None = None
     Instances pass through; ``None`` takes the ``backend`` setting
     (:mod:`repro.config`: ``$REPRO_BACKEND``, default ``"sim"``);
     strings are looked up in :data:`BACKENDS`.  ``"dist:N"`` pins the
-    worker count of the distributed backend, which otherwise takes the
-    ``workers`` setting.
+    worker count of the distributed backend.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    settings = resolve({"backend": backend}, names=("backend", "workers"))
-    base, _, count = settings["backend"].partition(":")
-    if base in SHARDED_BACKENDS:
-        return BACKENDS[base](
-            workers=int(count) if count else settings["workers"])
+    name = resolve({"backend": backend}, names=("backend",))["backend"]
+    base, _, count = name.partition(":")
+    if count:
+        return BACKENDS[base](workers=int(count))
     return BACKENDS[base]()
 
 

@@ -146,8 +146,7 @@ class DistributedBackend(FastBackend):
     retry, speculation and scriptable fault injection.
 
     Transfers, conversions, the streamed sink and every in-process
-    fallback are the fast backend's, pinned scalar so output never
-    changes shape under ``$REPRO_COLUMNAR``.
+    fallback are the fast backend's scalar path.
     """
 
     name = "dist"
@@ -158,7 +157,7 @@ class DistributedBackend(FastBackend):
                  *, deterministic: bool = False,
                  split_bytes: int | None = None,
                  min_straggle_s: float | None = None):
-        super().__init__(columnar=False)
+        super().__init__()
         if workers is not None and workers < 1:
             raise FrameworkError("workers must be >= 1")
         #: ``None`` means one worker per CPU.

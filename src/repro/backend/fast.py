@@ -58,9 +58,6 @@ class FastContext:
     plan: JobPlan
     config: DeviceConfig
     stores: list[IntermediateStore] = field(default_factory=list)
-    #: Columnar execution resolved for this job (backend instance,
-    #: then the ``columnar`` setting); see :meth:`FastBackend.map_phase`.
-    columnar: bool = False
 
 
 class StoreGroups:
@@ -97,27 +94,22 @@ class FastBackend(ExecutionBackend):
     ``reduce_batch`` run whole batches through numpy, the shuffle is a
     stable argsort + group-boundary scan instead of the dict group-by,
     and workloads without batch kernels fall back to the scalar API
-    per batch.  ``columnar=None`` (the default) takes the job's
-    ``columnar`` setting (``$REPRO_COLUMNAR``).  Output stays
-    byte-identical for integer workloads and bit-equal in practice for
-    the float ones (batch kernels preserve the scalar operation order).
+    per batch (registered as ``"columnar"``: :class:`ColumnarBackend`).
+    Output stays byte-identical for integer workloads and bit-equal in
+    practice for the float ones (batch kernels preserve the scalar
+    operation order).
     """
 
     name = "fast"
 
-    def __init__(self, columnar: bool | None = None):
+    def __init__(self, columnar: bool = False):
         self.columnar = columnar
 
     def open(self, plan: JobPlan) -> FastContext:
         cfg = plan.config
         if cfg is None and plan.device is not None:
             cfg = plan.device.config
-        return FastContext(
-            plan=plan,
-            config=cfg or DeviceConfig.gtx280(),
-            columnar=(plan.settings["columnar"] if self.columnar is None
-                      else bool(self.columnar)),
-        )
+        return FastContext(plan=plan, config=cfg or DeviceConfig.gtx280())
 
     def _open_store(self, ctx) -> IntermediateStore:
         """A live store for one shuffle hop, released by :meth:`close`."""
@@ -149,7 +141,7 @@ class FastBackend(ExecutionBackend):
     # -- phases --------------------------------------------------------
 
     def map_phase(self, ctx, d_in, tr, *, batch=None):
-        if ctx.columnar and batch is None:
+        if self.columnar and batch is None:
             # Streamed batches (batch is not None) keep the scalar Map:
             # their sink is record-oriented; the columnar path picks
             # the stream back up at the Shuffle.
@@ -239,7 +231,7 @@ class FastBackend(ExecutionBackend):
             store = inter
             with tr.span("shuffle_exec", records=len(store)) as sp:
                 return self._grouped_from(ctx, store, sp)
-        if ctx.columnar:
+        if self.columnar:
             if not isinstance(inter, ColumnBatch):
                 # Streamed tail: the sink is a host record set — lift
                 # it into columns so the vectorized group-by applies.
@@ -263,7 +255,7 @@ class FastBackend(ExecutionBackend):
         """
         store.finalize()
         if isinstance(store, MemoryStore):
-            if ctx.columnar:
+            if self.columnar:
                 cg = store.column_groups()
                 if cg is not None:
                     if sp is not None:

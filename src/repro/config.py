@@ -29,9 +29,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import FrameworkError
 
-#: Backends that take a worker count (``"dist:2"``).
-SHARDED_BACKENDS = ("dist",)
-
 # ----------------------------------------------------------------------
 # Value parsers: each maps a raw value to the effective one, or raises
 # ValueError with the reason (resolve() adds where the value came from).
@@ -115,7 +112,7 @@ def writable_dir(raw) -> str:
 
 
 def _backend(raw):
-    """``name`` or ``name:N`` (sharded backends only); an
+    """``name``, or ``dist:N`` to pin the dist worker count; an
     :class:`~repro.backend.base.ExecutionBackend` instance passed as an
     API argument is kept as is."""
     from .backend import BACKENDS, ExecutionBackend
@@ -128,9 +125,8 @@ def _backend(raw):
         raise ValueError(f"unknown backend; known: {known}")
     if not colon:
         return base
-    if base not in SHARDED_BACKENDS:
-        raise ValueError(f"only {', '.join(SHARDED_BACKENDS)} takes a "
-                         "worker count")
+    if base != "dist":
+        raise ValueError("only dist takes a worker count")
     try:
         return f"{base}:{positive_int(count)}"
     except ValueError:
@@ -181,13 +177,8 @@ class Knob:
 KNOBS: dict[str, Knob] = {k.name: k for k in (
     Knob("backend", "REPRO_BACKEND", "--backend", _backend, "sim",
          "execution backend: sim (cycle-accurate), fast (functional), "
-         "columnar (fast, vectorized) or dist[:N] (fast over socket "
-         "workers)"),
-    Knob("workers", "REPRO_WORKERS", "--workers", positive_int, None,
-         "worker processes of the dist backend (default: the CPU "
-         "count)"),
-    Knob("columnar", "REPRO_COLUMNAR", None, boolean, False,
-         "run the fast backend's vectorized columnar path (1/0)"),
+         "columnar (fast, vectorized) or dist[:N] (fast over N socket "
+         "workers; default N: the CPU count)"),
     Knob("columnar_batch", "REPRO_COLUMNAR_BATCH", None, positive_int,
          8192, "records per columnar Map batch"),
     Knob("store", "REPRO_STORE", "--store",
@@ -356,10 +347,6 @@ def cli_settings(prog: str, args):
     try:
         with override(**flags):
             settings = resolve()
-            base = settings["backend"].partition(":")[0]
-            if (flags.get("workers") is not None
-                    and base not in SHARDED_BACKENDS):
-                raise FrameworkError("--workers needs the dist backend")
             if (flags.get("memory_budget") is not None
                     and settings["store"] != "spill"):
                 raise FrameworkError("--memory-budget needs the spill store")

@@ -77,12 +77,12 @@ class MapReduceSpec:
     finalize: FinalizeFn | None = None
 
     #: Optional vectorized twins of ``map_record``/``reduce_record``
-    #: for the columnar execution path (``backend="columnar"`` /
-    #: ``$REPRO_COLUMNAR``).  Both are pure accelerations: they must
-    #: reproduce the scalar functions' emissions byte for byte (float
-    #: payloads: same operation order, so same rounding), and either
-    #: may return None to decline a batch it cannot vectorize — the
-    #: framework transparently falls back to the scalar API per batch.
+    #: for the columnar execution path (``backend="columnar"``).  Both
+    #: are pure accelerations: they must reproduce the scalar
+    #: functions' emissions byte for byte (float payloads: same
+    #: operation order, so same rounding), and either may return None
+    #: to decline a batch it cannot vectorize — the framework
+    #: transparently falls back to the scalar API per batch.
     #: ``reduce_batch`` only applies to thread-level (TR/Mars) reduces;
     #: block-level (BR) folds always run the scalar combine chain.
     map_batch: MapBatchFn | None = None

@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-from ..config import SHARDED_BACKENDS, add_flags, cli_settings
+from ..config import add_flags, cli_settings
 from ..errors import FrameworkError
 from ..framework.job import run_job
 from ..framework.modes import MemoryMode, ReduceStrategy, \
@@ -161,15 +161,14 @@ def _run(args, workload: Workload, settings) -> int:
 
     backend = None  # the job takes the backend setting
     base, _, count = settings["backend"].partition(":")
-    if base in SHARDED_BACKENDS and settings.source("backend") == "flag":
-        from ..backend import BACKENDS
+    if base == "dist" and settings.source("backend") == "flag":
+        from ..backend import DistributedBackend
 
         # A --backend dist flag asks for a traced sharded run:
         # min_records=0 makes it cross the process boundary, where the
         # in-process fallback would yield no worker telemetry.
-        backend = BACKENDS[base](
-            workers=int(count) if count else settings["workers"],
-            min_records=0)
+        backend = DistributedBackend(
+            workers=int(count) if count else None, min_records=0)
 
     blocks = _parse_blocks(args.blocks)
     # The functional backends report zero kernel cycles, so the

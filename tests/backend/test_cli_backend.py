@@ -102,11 +102,12 @@ class TestTraceCli:
             assert reason in capsys.readouterr().err
 
     def test_bad_env_workers_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        # Parsed even though the flag supplies the backend.
+        monkeypatch.setenv("REPRO_BACKEND", "dist:abc")
         with pytest.raises(SystemExit) as e:
             trace_main(["WC", "--backend", "dist"])
         assert _exit_code(e) == 2
-        assert "REPRO_WORKERS" in capsys.readouterr().err
+        assert "$REPRO_BACKEND='dist:abc'" in capsys.readouterr().err
 
 
 class TestBenchCli:
@@ -160,6 +161,6 @@ class TestBenchCli:
     def test_validate_bad_workers_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             bench_main(["validate", "--workload", "WC", "--backend",
-                        "dist", "--workers", "0"])
+                        "dist:0"])
         assert _exit_code(e) == 2
-        assert "workers" in capsys.readouterr().err
+        assert "worker count" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """The columnar fast backend: selection, batching, fallback, parity.
 
 Covers what the cross-backend differential matrix does not: how the
-columnar path is *selected* (constructor, ``$REPRO_COLUMNAR``,
-the ``"columnar"`` registry name), the batch-kernel decline contract
+columnar path is *selected* (constructor, the ``"columnar"``
+registry name and ``$REPRO_BACKEND``), the batch-kernel decline contract
 (None -> per-batch scalar fallback), kernels that exist on only one
 side (batch Map + scalar Reduce and vice versa), the batch-width env,
 streamed and Mars jobs under columnar, and the observability counters
@@ -14,7 +14,6 @@ import dataclasses
 import pytest
 
 from repro.backend import BACKENDS, ColumnarBackend, FastBackend, get_backend
-from repro.config import resolve
 from repro.errors import FrameworkError
 from repro.framework import ReduceStrategy, run_job, run_streamed_job
 from repro.framework.api import MapReduceSpec
@@ -23,12 +22,7 @@ from repro.framework.records import KeyValueSet
 from repro.workloads import Histogram, KMeans, WordCount
 
 
-COLUMNAR_ENV = "REPRO_COLUMNAR"
 COLUMNAR_BATCH_ENV = "REPRO_COLUMNAR_BATCH"
-
-
-def columnar_env_enabled():
-    return resolve(names=("columnar",))["columnar"]
 
 
 def _ident(key, value, emit, const):
@@ -53,27 +47,13 @@ class TestSelection:
         assert isinstance(be, ColumnarBackend)
         assert be.columnar is True
 
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        assert not columnar_env_enabled()
-        for value in ("1", "true", "YES", " on "):
-            monkeypatch.setenv(COLUMNAR_ENV, value)
-            assert columnar_env_enabled(), value
-        for value in ("0", "off", "", "no"):
-            monkeypatch.setenv(COLUMNAR_ENV, value)
-            assert not columnar_env_enabled(), value
-        monkeypatch.setenv(COLUMNAR_ENV, "maybe")
-        with pytest.raises(FrameworkError, match="REPRO_COLUMNAR"):
-            columnar_env_enabled()
-
     def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_ENV, "1")
+        monkeypatch.setenv("REPRO_BACKEND", "columnar")
         spec = MapReduceSpec(name="t", map_record=_ident,
                              reduce_record=_count)
         scalar = run_job(spec, _inp(), strategy=ReduceStrategy.TR,
                          backend=FastBackend(columnar=False))
-        env = run_job(spec, _inp(), strategy=ReduceStrategy.TR,
-                      backend="fast")
+        env = run_job(spec, _inp(), strategy=ReduceStrategy.TR)
         assert "columnar_batches" in env.map_stats.extra
         assert "columnar_batches" not in scalar.map_stats.extra
         assert env.output == scalar.output
@@ -251,10 +231,9 @@ class TestJobShapes:
         assert col.output == scalar.output
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 1
 
-    def test_dist_backend_stays_scalar(self, monkeypatch):
+    def test_dist_backend_stays_scalar(self):
         from repro.backend import DistributedBackend
 
-        monkeypatch.setenv(COLUMNAR_ENV, "1")
         wl = WordCount()
         inp = wl.generate("small", seed=5, scale=0.2)
         dist = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
@@ -270,20 +249,18 @@ class TestLedgerColumns:
         import json
 
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-        monkeypatch.setenv(COLUMNAR_ENV, "1")
         wl = KMeans()
         inp = wl.generate("small", seed=3)
         # Memory store pinned: a spilling shuffle bypasses the batch
         # Reduce kernel whose counter the ledger must record.
         run_job(wl.spec_for_seed(3), inp, strategy=ReduceStrategy.TR,
-                backend="fast", store="memory")
+                backend="columnar", store="memory")
         lines = (tmp_path / "runs.jsonl").read_text().splitlines()
         rec = json.loads(lines[-1])
         assert rec["columnar_batches"] >= 1
         assert rec["columnar_map_vectorized"] >= 1
         assert rec["columnar_reduce_vectorized"] == 1
         # A scalar run leaves the columnar fields null.
-        monkeypatch.setenv(COLUMNAR_ENV, "0")
         run_job(wl.spec_for_seed(3), inp, strategy=ReduceStrategy.TR,
                 backend="fast")
         rec2 = json.loads(
@@ -307,8 +284,8 @@ class TestWorkerCountValidation:
 
     def test_workers_env_rejects_bad_values(self, monkeypatch):
         for bad in ("0", "-1", "abc", "1.5"):
-            monkeypatch.setenv("REPRO_WORKERS", bad)
-            with pytest.raises(FrameworkError):
-                get_backend("dist")
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert get_backend("dist").workers == 4
+            monkeypatch.setenv("REPRO_BACKEND", f"dist:{bad}")
+            with pytest.raises(FrameworkError, match="REPRO_BACKEND"):
+                get_backend(None)
+        monkeypatch.setenv("REPRO_BACKEND", "dist:4")
+        assert get_backend(None).workers == 4

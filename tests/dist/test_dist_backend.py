@@ -108,17 +108,20 @@ class TestRegistryAndEnv:
             get_backend("dist:lots")
 
     def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert get_backend("dist").workers == 5
+        monkeypatch.setenv("REPRO_BACKEND", "dist")
+        assert get_backend(None).workers == (os.cpu_count() or 1)
+        # An argument wins whole: a bare "dist" takes no count from
+        # the environment.
+        monkeypatch.setenv("REPRO_BACKEND", "dist:5")
+        assert get_backend("dist").workers == (os.cpu_count() or 1)
 
     def test_env_variable_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(FrameworkError, match="REPRO_WORKERS"):
-            get_backend("dist")
+        monkeypatch.setenv("REPRO_BACKEND", "dist:many")
+        with pytest.raises(FrameworkError, match="REPRO_BACKEND"):
+            get_backend(None)
 
     def test_backend_env_takes_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "dist")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_BACKEND", "dist:3")
         assert get_backend(None).workers == 3
 
     def test_zero_workers_rejected(self):
@@ -126,8 +129,7 @@ class TestRegistryAndEnv:
             with pytest.raises(FrameworkError):
                 DistributedBackend(workers=workers)
 
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_default_is_cpu_count(self):
         assert get_backend("dist").workers == (os.cpu_count() or 1)
         assert DistributedBackend().workers == (os.cpu_count() or 1)
 

@@ -32,8 +32,6 @@ DOCS = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 #: accepted, and an unwritable one degrades to no ledger by design.
 BAD = {
     "backend": "cuda",
-    "workers": "0",
-    "columnar": "maybe",
     "columnar_batch": "0",
     "store": "bogus",
     "memory_budget": "1.5m",
@@ -197,10 +195,25 @@ def test_budget_flag_needs_the_spill_store(monkeypatch, capsys):
     assert "spill" in _trace(["--memory-budget", "64k"], capsys)
 
 
-def test_workers_flag_needs_the_dist_backend(monkeypatch, capsys):
+@pytest.mark.parametrize("bad", ["dist:0", "dist:abc"])
+def test_bad_dist_count_has_one_message_everywhere(bad, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   no_open):
+    reason = "worker count must be a positive integer ('dist:<n>')"
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert ("--workers needs the dist backend"
-            in _trace(["--backend", "fast", "--workers", "2"], capsys))
+    from_flag = _trace(["--backend", bad, "--out", str(tmp_path)], capsys)
+    assert from_flag == f"--backend={bad!r}: {reason}"
+    assert _bench(["--backend", bad], capsys) == from_flag
+    with pytest.raises(FrameworkError,
+                       match=re.escape(f"backend={bad!r}: {reason}")):
+        _job(backend=bad)
+    monkeypatch.setenv("REPRO_BACKEND", bad)
+    from_env = _trace(["--out", str(tmp_path)], capsys)
+    assert from_env == f"$REPRO_BACKEND={bad!r}: {reason}"
+    assert _bench([], capsys) == from_env
+    with pytest.raises(FrameworkError) as exc:
+        _job()
+    assert str(exc.value) == from_env
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +245,7 @@ def test_bad_env_value_fails_under_every_higher_layer(name, tmp_path,
     monkeypatch.setenv(knob.env, _bad(name, tmp_path))
     good = knob.default
     if good is None:
-        good = {"workers": 2, "memory_budget": 4096,
-                "spill_dir": str(tmp_path)}[name]
+        good = {"memory_budget": 4096, "spill_dir": str(tmp_path)}[name]
     want = re.escape(f"${knob.env}=")
     for args, tuner in (({name: good}, None), (None, {name: good})):
         with pytest.raises(FrameworkError, match=want):
@@ -282,6 +294,12 @@ def test_every_knob_is_in_the_api_configuration_table():
     text = DOCS.read_text(encoding="utf-8")
     section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("|")]
+    # Every row that names a variable names a knob's: a retired
+    # setting leaves the table with its knob.
+    envs = {knob.env for knob in KNOBS.values()}
+    for row in rows:
+        for env in re.findall(r"`(REPRO_\w+)`", row):
+            assert env in envs, row
     for knob in KNOBS.values():
         row = [r for r in rows if f"`{knob.env}`" in r]
         assert len(row) == 1, knob.name

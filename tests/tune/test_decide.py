@@ -141,6 +141,27 @@ class TestExecution:
         assert decision.backend == "columnar"
         assert decision.choice.count("columnar") == 1
 
+    def test_tuned_fast_job_runs_and_records_fast(self, monkeypatch):
+        """The backend name alone selects the executor: variables of
+        retired settings left in the environment cannot turn the
+        tuner's ``fast`` pick into a columnar run under a ``fast``
+        label (and into the ``backend:fast`` calibration)."""
+        from repro.framework import run_job
+        from repro.obs.ledger import read_ledger
+        from repro.workloads import MatrixMultiplication
+
+        for name in ("columnar", "workers"):
+            monkeypatch.setenv("REPRO_" + name.upper(), "1")
+        w = MatrixMultiplication()
+        inp = w.generate("small", seed=0, scale=0.3)
+        res = run_job(w.spec_for_size("small", seed=0, scale=0.3), inp,
+                      tune=True)
+        rec = read_ledger()[-1]
+        assert rec["tuner_choice"].endswith(" fast")
+        assert rec["backend"] == "fast"
+        assert rec["columnar_batches"] is None
+        assert "columnar_batches" not in res.map_stats.extra
+
 
 class TestHistoryOverride:
     def _swept_records(self, spec, inp):
