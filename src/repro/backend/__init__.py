@@ -57,7 +57,22 @@ def get_backend(backend: str | ExecutionBackend | None = None
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = resolve({"backend": backend}, names=("backend",))["backend"]
+    return _instantiate(
+        resolve({"backend": backend}, names=("backend",))["backend"])
+
+
+def backend_for(setting: str | ExecutionBackend) -> ExecutionBackend:
+    """The live backend for an already-resolved ``backend`` setting
+    (``JobPlan.settings["backend"]``), with no second parse: a name is
+    instantiated here, and the instance still passes through a
+    call-time lookup of :func:`get_backend`, so a wrapper installed
+    there sees every driver's backend."""
+    if not isinstance(setting, ExecutionBackend):
+        setting = _instantiate(setting)
+    return get_backend(setting)
+
+
+def _instantiate(name: str) -> ExecutionBackend:
     base, _, count = name.partition(":")
     if count:
         return BACKENDS[base](workers=int(count))
@@ -75,6 +90,7 @@ __all__ = [
     "FastBackend",
     "JobPlan",
     "SimBackend",
+    "backend_for",
     "execute_plan",
     "get_backend",
 ]

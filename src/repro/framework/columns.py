@@ -10,13 +10,14 @@ Shuffle and Reduce with a handful of array operations, the way Lu et
 al.'s Xeon Phi runtime SIMD-vectorizes its phases:
 
 * :class:`Column` — one side (keys or values) of a record batch,
-  held in one of two forms and converted to the other lazily: the
-  Python list of ``bytes`` it was built from (ragged data — lines,
-  words — stays a list end to end), or a single concatenated ``blob``
-  plus an ``int64`` per-record length array (fixed-width data, which
-  the batch kernels view as numpy arrays; offsets are the cumulative
-  sum, cached on demand).  ``tolist()`` returns the column's own list,
-  which callers must not mutate;
+  held in one of two forms and converted to the other lazily: a
+  Python list of ``bytes``, or a single concatenated ``blob`` plus an
+  ``int64`` per-record length array (offsets are the cumulative sum,
+  cached on demand).  Fixed-width data is viewed as numpy arrays from
+  the blob; ragged data stays in whichever form it was built in, so
+  a batch kernel that emits blob-form words (``wc_map_batch``) never
+  creates a Python object per word.  ``tolist()`` returns the
+  column's own list, which callers must not mutate;
 * :class:`ColumnBatch` — a key column and a value column of equal
   record count: the unit batch kernels (``spec.map_batch``) consume
   and produce;
@@ -25,11 +26,14 @@ al.'s Xeon Phi runtime SIMD-vectorizes its phases:
   dict-of-lists group-by.  Fixed-width keys up to 8 bytes sort as one
   big-endian integer argsort (big-endian packing makes integer order
   equal lexicographic byte order); wider fixed keys lexsort 8-byte
-  limbs; variable-width keys are hash-grouped in one dict pass that
-  codes each record by its key's first-occurrence index — only the
-  distinct keys are sorted (as ``bytes``, so byte order is exact), a
-  rank table turns first-occurrence codes into rank codes, and a
-  stable argsort over the rank codes orders the records;
+  limbs; variable-width keys are coded by a representative record
+  each — only the distinct keys are sorted (as ``bytes``, so byte
+  order is exact), a rank table turns representative codes into rank
+  codes, and a stable argsort over the rank codes orders the records.
+  Blob-form keys of at most :data:`SHORT_KEY_MAX` bytes find their
+  representatives with array operations (hashed limbs, a scatter
+  table, an exact check); any other ragged column does so in one
+  dict pass;
 * :class:`GroupedColumns` — the grouped intermediate: one entry per
   distinct key, an ``int64`` boundary array and the value column in
   group-major emission order.  Iterating it yields the same
@@ -61,15 +65,17 @@ class Column:
     * the **list** form — a Python ``list`` of ``bytes``, what
       :meth:`from_list` keeps (a shallow copy, so a caller's later
       ``append`` cannot change the column) and what a ragged
-      :meth:`take` gathers.  Ragged keys do not vectorize, and on the
-      host a list is already their cheap form: :meth:`tolist`,
-      iteration, :meth:`at` and ``len`` read it directly, with no
-      join and no slicing back out;
+      :meth:`take` gathers.  :meth:`tolist`, iteration, :meth:`at`
+      and ``len`` read it directly, with no join and no slicing back
+      out;
     * the **blob** form — ``blob`` holds the payloads back to back and
       ``lengths`` is an ``int64`` array of per-record byte lengths,
-      what :meth:`from_array` and :meth:`repeated` build and what the
+      what :meth:`from_array` and :meth:`repeated` build, what the
       fixed-width array views (:meth:`matrix`, :meth:`fixed_array`)
-      read.
+      read, and what ragged batch kernels such as ``wc_map_batch``
+      emit: the shuffle codes short blob-form keys with array
+      operations (:func:`sort_and_group`), and a ragged :meth:`take`
+      slices only the records it gathers.
 
     ``blob``, ``lengths`` and ``offsets`` (the cumulative sum of the
     lengths: records are contiguous by construction) are cached
@@ -227,15 +233,26 @@ class Column:
     # -- transforms ----------------------------------------------------
 
     def take(self, order: np.ndarray) -> "Column":
-        """Gather records into a new column: a vectorized row gather
-        when fixed-width, a list gather when ragged."""
+        """Gather records into a new column: a vectorized gather when
+        fixed-width (through a typed 1-D view for 1/2/4/8-byte
+        records), else a list gather that slices only the taken
+        records out of a blob-form column."""
         w = self.fixed_width
         if w is not None:
-            mat = self.matrix()[order]
-            return Column(mat.tobytes(),
+            if w in (1, 2, 4, 8):
+                data = np.frombuffer(self.blob, dtype=f"u{w}").take(order)
+            else:
+                data = self.matrix()[order]
+            return Column(data.tobytes(),
                           np.full(len(order), w, dtype=np.int64))
-        items = self.tolist()
-        return Column(items=[items[i] for i in order.tolist()])
+        if self._items is not None:
+            items = self._items
+            return Column(items=[items[i] for i in order.tolist()])
+        blob, lengths = self._blob, self.lengths.take(order)
+        lo = self.offsets.take(order)
+        return Column(items=[blob[a:b] for a, b in
+                             zip(lo.tolist(), (lo + lengths).tolist())],
+                      lengths=lengths)
 
     @classmethod
     def concat(cls, columns: Sequence["Column"]) -> "Column":
@@ -341,6 +358,116 @@ def _key_limbs(keys: Column) -> np.ndarray:
     return padded.view(">u8").reshape(n, n_limbs)
 
 
+#: Blob-form ragged keys of at most this many bytes (two u64 limbs)
+#: are grouped with array operations; longer keys take the dict pass.
+SHORT_KEY_MAX = 16
+#: log2 of the short-key scatter table's bucket count.
+_BUCKET_BITS = 16
+#: Per key length 0..16, the masks that keep a key's own bytes of its
+#: two little-endian limbs (bytes 0-7 and 8-15) and zero the rest.
+_LIMB_MASKS = np.array(
+    [[(1 << 8 * min(w, 8)) - 1 for w in range(SHORT_KEY_MAX + 1)],
+     [(1 << 8 * max(w - 8, 0)) - 1 for w in range(SHORT_KEY_MAX + 1)]],
+    dtype=np.uint64)
+_MUL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F))
+_LENGTH_SALT = np.arange(SHORT_KEY_MAX + 1, dtype=np.uint64) * _MUL[0]
+
+
+def _hash_limbs(lo: np.ndarray, hi: np.ndarray,
+                lengths: np.ndarray) -> np.ndarray:
+    """One ``u64`` hash per key from its masked limbs and length
+    (products wrap modulo 2**64)."""
+    h = lo * _MUL[0]
+    h ^= hi * _MUL[1]
+    h ^= _LENGTH_SALT.take(lengths)
+    h ^= h >> np.uint64(31)
+    h *= _MUL[1]
+    return h
+
+
+def _dict_reps(keys: Column
+               ) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """``(rep_of, reps, distinct)`` for any ragged column, in one hash
+    pass: ``dict.setdefault`` codes each record by the index where its
+    key first occurs (``rep_of``); ``reps`` are those indices and
+    ``distinct`` their keys, in first-occurrence order."""
+    items = keys.tolist()
+    n = len(items)
+    first: dict[bytes, int] = {}
+    rep_of = np.fromiter(map(first.setdefault, items, range(n)),
+                         dtype=np.min_scalar_type(n), count=n)
+    reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return rep_of, reps, list(first)
+
+
+def _short_limbs(keys: Column) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's bytes 0-7 and 8-15 as little-endian ``u64`` limbs,
+    zero past its length: one 16-byte load per record offset of a
+    zero-padded copy of the blob, masked by length."""
+    blob = keys.blob
+    # Element j of this byte-strided view is the 16 bytes at offset j.
+    # Indexing it, unlike ``take``, does not first copy the unaligned
+    # view whole into an aligned buffer.
+    spans = np.ndarray((len(blob) + 1,), dtype="V16",
+                       buffer=blob + bytes(16), strides=(1,))
+    limbs = spans[keys.offsets[:-1]].view("<u8").reshape(-1, 2)
+    lengths = keys.lengths
+    return (limbs[:, 0] & _LIMB_MASKS[0].take(lengths),
+            limbs[:, 1] & _LIMB_MASKS[1].take(lengths))
+
+
+def _bucket_survivors(h: np.ndarray) -> np.ndarray:
+    """Per record, the one record of its bucket (the top
+    :data:`_BUCKET_BITS` bits of ``h``) that a scatter of every
+    record index into the bucket table leaves standing."""
+    bucket = (h >> np.uint64(64 - _BUCKET_BITS)).view(np.int64)
+    table = np.empty(1 << _BUCKET_BITS, dtype=np.int64)
+    table[bucket] = np.arange(len(h))
+    return table.take(bucket)
+
+
+def _short_key_reps(keys: Column
+                    ) -> tuple[np.ndarray, np.ndarray, list[bytes]] | None:
+    """:func:`_dict_reps`' result for a blob-form column with array
+    operations, or ``None`` when a key is longer than
+    :data:`SHORT_KEY_MAX` or two distinct keys share a 64-bit hash.
+
+    Limbs plus length identify a short key exactly
+    (:func:`_short_limbs`).  Their hash puts each record in one of
+    ``2**_BUCKET_BITS`` buckets, and each bucket's survivor
+    (:func:`_bucket_survivors`) represents its records.  Records whose
+    limbs or length differ from their representative's lost the
+    bucket to another key; no survivor can hold their key, since
+    equal keys hash alike.  Only that subset is coded again, by its
+    full hashes (``np.unique``), and each must then equal its new
+    representative exactly — a mismatch is a 64-bit collision.
+    """
+    lengths = keys.lengths
+    if int(lengths.max()) > SHORT_KEY_MAX:
+        return None
+    lo, hi = _short_limbs(keys)
+    h = _hash_limbs(lo, hi, lengths)
+    rep_of = _bucket_survivors(h)
+    fields = (lo, hi, lengths)
+    clash = np.zeros(len(h), dtype=bool)
+    for f in fields:
+        clash |= f != f.take(rep_of)
+    lost = np.flatnonzero(clash)
+    if len(lost):
+        _, first, inverse = np.unique(h.take(lost), return_index=True,
+                                      return_inverse=True)
+        rep = lost.take(first).take(inverse)
+        if any((f.take(lost) != f.take(rep)).any() for f in fields):
+            return None
+        rep_of[lost] = rep
+    reps = np.flatnonzero(rep_of == np.arange(len(h)))
+    lo_off = keys.offsets.take(reps)
+    hi_off = lo_off + lengths.take(reps)
+    blob = keys.blob
+    return rep_of, reps, [blob[a:b] for a, b in
+                          zip(lo_off.tolist(), hi_off.tolist())]
+
+
 def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
     """Stable sort permutation + group boundaries over key bytes.
 
@@ -349,15 +476,18 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
     keep emission order); ``starts`` is an ``int64`` array of group
     start indices into the sorted order, with a final ``n`` sentinel
     (``len(starts) - 1`` groups); ``vectorized`` reports whether the
-    fixed-width array sort ran (``False``: ragged keys were
-    hash-grouped).
+    fixed-width array sort ran (``False``: ragged keys were coded by
+    representative).
 
-    Ragged keys cost one hash per record: one ``dict.setdefault``
-    pass codes each record by the index where its key first occurs,
-    the distinct keys alone are sorted, and an ``n``-sized rank table
-    (``rank[first index of the j-th smallest key] = j``, in the
+    Ragged keys are first mapped to a representative record each, one
+    per distinct key: by :func:`_short_key_reps` with array operations
+    when the column is in blob form and no key is longer than
+    :data:`SHORT_KEY_MAX`, else (or when that path finds a 64-bit hash
+    collision) by :func:`_dict_reps` in one dict pass.  The distinct
+    keys alone are sorted, and an ``n``-sized rank table
+    (``rank[representative of the j-th smallest key] = j``, in the
     narrowest dtype that holds the group count, so numpy's radix sort
-    applies) turns those codes into rank codes with one gather.
+    applies) turns representatives into rank codes with one gather.
     """
     n = len(keys)
     if n == 0:
@@ -392,21 +522,18 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
             np.array([n], dtype=np.int64),
         ))
         return order, starts, True
-    # Ragged keys: one hash pass, then the rank table (see above).
+    # Ragged keys: representatives, then the rank table (see above).
     # Python sorts the distinct keys by raw bytes, and the stable
     # argsort keeps equal keys in emission order.
-    items = keys.tolist()
-    first: dict[bytes, int] = {}
-    firsts = np.fromiter(map(first.setdefault, items, range(n)),
-                         dtype=np.min_scalar_type(n), count=n)
-    distinct = sorted(first)
+    found = _short_key_reps(keys) if keys._blob is not None else None
+    rep_of, reps, distinct = found or _dict_reps(keys)
     k = len(distinct)
     # The narrowest code dtype: numpy's stable sort is a radix sort
     # for codes of 16 bits or fewer.
     rank = np.empty(n, dtype=np.min_scalar_type(k))
-    rank[np.fromiter(map(first.__getitem__, distinct), dtype=np.intp,
-                     count=k)] = np.arange(k)
-    codes = rank[firsts]
+    rank[reps.take(sorted(range(k), key=distinct.__getitem__))] = \
+        np.arange(k)
+    codes = rank.take(rep_of)
     order = np.argsort(codes, kind="stable").astype(np.int64, copy=False)
     starts = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=k), out=starts[1:])

@@ -154,7 +154,7 @@ def run_job(
     if strategy is not None and strategy != "auto" and not spec.has_reduce:
         raise FrameworkError(f"workload {spec.name} has no Reduce phase")
     # Local import: repro.backend imports this module for JobResult.
-    from ..backend import JobPlan, execute_plan, get_backend
+    from ..backend import JobPlan, backend_for, execute_plan
 
     if tune and mode not in (None, "auto"):
         raise FrameworkError(
@@ -193,5 +193,5 @@ def run_job(
         memory_budget=memory_budget,
         tuned=tuned,
     ).normalised()
-    return execute_plan(plan, inp, get_backend(plan.settings["backend"]),
+    return execute_plan(plan, inp, backend_for(plan.settings["backend"]),
                         tracer)

@@ -125,7 +125,7 @@ def run_streamed_job(
     """
     spec.validate()
     # Local import: repro.backend imports this module for StreamedResult.
-    from ..backend import BatchPolicy, JobPlan, execute_plan, get_backend
+    from ..backend import BatchPolicy, JobPlan, backend_for, execute_plan
 
     plan = JobPlan(
         spec=spec,
@@ -140,5 +140,5 @@ def run_streamed_job(
         store=store,
         memory_budget=memory_budget,
     ).normalised()
-    return execute_plan(plan, inp, get_backend(plan.settings["backend"]),
+    return execute_plan(plan, inp, backend_for(plan.settings["backend"]),
                         tracer)

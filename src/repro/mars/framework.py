@@ -480,7 +480,7 @@ def run_mars_job(
     spec.validate()
     # Local import: repro.backend imports framework modules that in
     # turn are imported by this one.
-    from ..backend import ENGINE_MARS, JobPlan, execute_plan, get_backend
+    from ..backend import ENGINE_MARS, JobPlan, backend_for, execute_plan
 
     plan = JobPlan(
         spec=spec,
@@ -495,5 +495,5 @@ def run_mars_job(
         store=store,
         memory_budget=memory_budget,
     ).normalised()
-    return execute_plan(plan, inp, get_backend(plan.settings["backend"]),
+    return execute_plan(plan, inp, backend_for(plan.settings["backend"]),
                         tracer)

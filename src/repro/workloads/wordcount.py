@@ -34,18 +34,25 @@ def wc_map(key, value, emit, const) -> None:
 
 
 def wc_map_batch(cols, *, const=None):
-    """Vectorized Map: split the whole batch of lines in one call.
+    """Vectorized Map: split the whole batch of lines with one scan.
 
     Joining the lines with the separator makes every line boundary a
-    word boundary, so one ``split`` yields exactly the words of
-    :func:`wc_map`, line by line and in order; empty words (from
-    leading, trailing or repeated spaces and empty lines) are dropped
-    as there.  Each word pairs with ``ONE``: no local combine, so the
-    Reduce sees the same value lists as after the scalar Map.
+    word boundary, so the words between separators are exactly those
+    of :func:`wc_map`, line by line and in order.  One
+    ``np.frombuffer(text) == 32`` scan finds the separators; the gaps
+    between them are the word lengths, empty words (from leading,
+    trailing or repeated spaces and empty lines) are dropped as there,
+    and the text with its separators deleted is the words' blob — so
+    the key column is blob-form and no word object is created.  Each
+    word pairs with ``ONE``: no local combine, so the Reduce sees the
+    same value lists as after the scalar Map.
     """
-    words = list(filter(None, b" ".join(cols.keys.tolist()).split(b" ")))
-    return ColumnBatch(Column.from_list(words),
-                       Column.repeated(ONE, len(words)))
+    text = b" ".join(cols.keys.tolist())
+    seps = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == 32)
+    lengths = np.diff(seps, prepend=-1, append=len(text)) - 1
+    lengths = lengths[lengths > 0]
+    return ColumnBatch(Column(text.translate(None, b" "), lengths),
+                       Column.repeated(ONE, len(lengths)))
 
 
 def wc_reduce(key, values, emit, const) -> None:
@@ -59,8 +66,8 @@ def wc_reduce(key, values, emit, const) -> None:
 def wc_reduce_batch(keys, offsets, values, *, const=None):
     """Vectorized TR reduce: per-word ``reduceat`` count sums.
 
-    The words are ragged, so the Shuffle hash-groups them (see
-    :func:`~repro.framework.columns.sort_and_group`); the counts are
+    The words are ragged, so the Shuffle groups them by representative
+    (see :func:`~repro.framework.columns.sort_and_group`); the counts are
     fixed 4-byte values, so the sums vectorize.  A sum past ``u32``
     declines to the scalar path so ``struct.pack("<I", ...)`` raises
     the identical overflow error the scalar kernel always raised.

@@ -9,18 +9,30 @@ ragged keys (lexicographic byte order, not length-first).
 """
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import FrameworkError
+from repro.framework import columns
 from repro.framework.columns import (
+    SHORT_KEY_MAX,
     Column,
     ColumnBatch,
     GroupedColumns,
     sort_and_group,
 )
+from repro.framework.job import run_job
 from repro.framework.records import KeyValueSet
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _blob_column(keys):
+    """A blob-form column of ``keys`` (what a batch kernel emits)."""
+    return Column(b"".join(keys),
+                  np.array([len(k) for k in keys], dtype=np.int64))
 
 
 def _grouped_ref(pairs):
@@ -154,18 +166,21 @@ def _vocab(k, seed):
 
 
 class TestRaggedRankCodes:
-    """The ragged branch codes records by first occurrence, then maps
-    those codes through a rank table whose dtype is the narrowest that
-    holds the group count.  Pinned against a stable sort at the u8/u16
-    code boundaries, for both the rank and the first-occurrence codes."""
+    """The ragged branch codes records by a representative each, then
+    maps those codes through a rank table whose dtype is the narrowest
+    that holds the group count.  Pinned against a stable sort at the
+    u8/u16 code boundaries, for both the rank and the representative
+    codes, with the keys in list form (the dict pass) and in blob form
+    (the short-key coding)."""
 
     def _check(self, keys):
-        order, starts, vectorized = sort_and_group(Column.from_list(keys))
-        assert not vectorized
-        assert order.dtype == np.int64 and starts.dtype == np.int64
         want_order, want_starts = _stable_ref(keys)
-        assert order.tolist() == want_order
-        assert starts.tolist() == want_starts
+        for col in (Column.from_list(keys), _blob_column(keys)):
+            order, starts, vectorized = sort_and_group(col)
+            assert not vectorized
+            assert order.dtype == np.int64 and starts.dtype == np.int64
+            assert order.tolist() == want_order
+            assert starts.tolist() == want_starts
 
     @pytest.mark.parametrize("k", [255, 256, 257, 65535, 65536, 65537])
     def test_code_dtype_boundaries(self, k):
@@ -190,6 +205,106 @@ class TestRaggedRankCodes:
     def test_first_occurrences_in_reverse_key_order(self):
         keys = sorted(_vocab(300, seed=1), reverse=True)
         self._check(keys + keys[::-1] + keys)
+
+
+@pytest.fixture
+def dict_pass(monkeypatch):
+    """Record the record count of every ragged column that takes the
+    dict pass."""
+    calls, real = [], columns._dict_reps
+
+    def spy(keys):
+        calls.append(len(keys))
+        return real(keys)
+
+    monkeypatch.setattr(columns, "_dict_reps", spy)
+    return calls
+
+
+class TestShortKeyCoding:
+    """Blob-form keys of at most ``SHORT_KEY_MAX`` bytes are grouped by
+    hashed limbs and a scatter table; records that lose their bucket
+    to another key are coded again from their full hashes, and any
+    64-bit collision sends the column to the dict pass.  Every case
+    must equal a Python stable sort: order, starts and group keys."""
+
+    HAZARDS = [b"", b"\x00", b"a\x00", b"a\x00\x00", b"\xff" * 16,
+               b"a", b"\xff" * 15, b"\xff" * 8, b"\x00" * 16]
+
+    def _check(self, keys):
+        want_order, want_starts = _stable_ref(keys)
+        col = _blob_column(keys)
+        order, starts, vectorized = sort_and_group(col)
+        assert not vectorized
+        assert order.tolist() == want_order
+        assert starts.tolist() == want_starts
+        vals = Column.repeated(b"v", len(keys))
+        grouped = GroupedColumns.from_batch(ColumnBatch(col, vals))
+        assert grouped.keys.tolist() == sorted(set(keys))
+
+    def _vocab(self, k, seed):
+        rng = random.Random(seed)
+        vocab = set()
+        while len(vocab) < k:
+            vocab.add(rng.randbytes(rng.randint(0, SHORT_KEY_MAX)))
+        return sorted(vocab)
+
+    def test_bucket_clashes_are_coded_exactly(self, dict_pass):
+        # 2,500 distinct keys in 2**16 buckets: ~48 clashing pairs are
+        # expected, and no clash at all has odds of about e**-47.
+        vocab = self._vocab(2500, seed=7)
+        rng = random.Random(8)
+        keys = vocab + [rng.choice(vocab) for _ in range(5000)]
+        rng.shuffle(keys)
+        self._check(keys)
+        assert dict_pass == []
+
+    def test_every_bucket_clashing(self, monkeypatch, dict_pass):
+        # Two buckets: nearly every key is coded by its full hash.
+        monkeypatch.setattr(columns, "_BUCKET_BITS", 1)
+        vocab = self._vocab(300, seed=3) + self.HAZARDS
+        keys = vocab + vocab[::3]
+        random.Random(4).shuffle(keys)
+        self._check(keys)
+        assert dict_pass == []
+
+    def test_hazards_and_a_hot_key(self, dict_pass):
+        keys = self.HAZARDS * 3 + [b"hot"] * 5000
+        random.Random(5).shuffle(keys)
+        self._check(keys + self.HAZARDS[::-1])
+        assert dict_pass == []
+
+    def test_long_key_takes_the_dict_pass(self, dict_pass):
+        keys = [b"x" * 17, b"a", b"x" * 16, b"", b"a", b"x" * 17]
+        self._check(keys)
+        assert dict_pass == [len(keys)] * 2  # sort + from_batch
+
+    def test_hash_collision_takes_the_dict_pass(self, monkeypatch,
+                                                dict_pass):
+        # One hash for every key: the lost records share it, so the
+        # exact check finds distinct keys under one code.
+        monkeypatch.setattr(columns, "_hash_limbs",
+                            lambda lo, hi, lengths: np.zeros_like(lo))
+        keys = self.HAZARDS + [b"b", b"a", b"ab"] + self.HAZARDS
+        self._check(keys)
+        assert dict_pass == [len(keys)] * 2
+
+    def test_list_form_takes_the_dict_pass(self, dict_pass):
+        keys = [b"bb", b"a", b"", b"bb"]
+        order, starts, _ = sort_and_group(Column.from_list(keys))
+        assert (order.tolist(), starts.tolist()) == _stable_ref(keys)
+        assert dict_pass == [len(keys)]
+
+    def test_bench_wordcount_input_skips_the_dict_pass(self, monkeypatch,
+                                                       dict_pass):
+        monkeypatch.syspath_prepend(str(ROOT))
+        from bench.workloads import WORKLOADS
+
+        spec, inp = WORKLOADS["wc-columnar"].build(1)
+        res = run_job(spec, inp, mode="SIO", strategy="TR",
+                      backend="columnar", store="memory")
+        assert len(res.output) == 512
+        assert dict_pass == []
 
 
 class TestGroupedColumns:

@@ -90,6 +90,24 @@ def test_take_agrees(data, items):
 
 
 @SETTINGS
+@given(data=st.data(), width=st.integers(min_value=1, max_value=9),
+       n=st.integers(min_value=1, max_value=40))
+def test_fixed_take_equals_the_matrix_gather(data, width, n):
+    """``take`` gathers 1/2/4/8-byte records through a typed 1-D view
+    and other widths through the ``(n, width)`` matrix: both must
+    equal the matrix row gather, for an empty order too."""
+    items = data.draw(st.lists(st.binary(min_size=width, max_size=width),
+                               min_size=n, max_size=n))
+    order = np.array(data.draw(st.one_of(st.just([]), _indices(n))),
+                     dtype=np.int64)
+    for col in _forms(items):
+        got = col.take(order)
+        assert got.blob == col.matrix()[order].tobytes()
+        assert got.lengths.tolist() == [width] * len(order)
+        assert got.fixed_width == (width if len(order) else None)
+
+
+@SETTINGS
 @given(parts=st.lists(st.tuples(any_items, st.booleans()), max_size=5))
 def test_concat_of_mixed_forms(parts):
     cols = [Column.from_list(items) if as_list else _blob_built(items)

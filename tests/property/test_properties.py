@@ -19,10 +19,11 @@ inputs rather than the workloads' well-behaved ones:
 * the dist backend's reduce-range splitter covers ``[0, n)`` with
   contiguous, balanced, non-empty ranges;
 * the columnar shuffle's ``sort_and_group`` (hash grouping for ragged
-  keys) yields exactly the stable byte-order sort of the records and
-  its group boundaries.
+  keys, list- and blob-form) yields exactly the stable byte-order sort
+  of the records and its group boundaries.
 """
 
+import numpy as np
 import pytest
 
 hyp = pytest.importorskip("hypothesis")
@@ -278,8 +279,10 @@ def test_sort_and_group_matches_stable_sort(keys):
     want_starts = [0] + [
         pos for pos in range(1, n) if keys[want[pos]] != keys[want[pos - 1]]
     ] + [n]
-    col = Column.from_list(keys)
-    order, starts, vectorized = sort_and_group(col)
-    assert order.tolist() == want
-    assert starts.tolist() == want_starts
-    assert vectorized == (col.fixed_width is not None)
+    blob = Column(b"".join(keys),
+                  np.array([len(k) for k in keys], dtype=np.int64))
+    for col in (Column.from_list(keys), blob):
+        order, starts, vectorized = sort_and_group(col)
+        assert order.tolist() == want
+        assert starts.tolist() == want_starts
+        assert vectorized == (col.fixed_width is not None)

@@ -7,12 +7,15 @@ narrowest that holds the group count (u8 up to 255 groups, u16 up to
 65,535, u32 beyond).  Vocabularies here straddle both boundaries, mix
 in the empty key and NUL-suffixed keys, and present their first
 occurrences in shuffled order; the permutation and group starts must
-equal a plain Python stable sort's.  Marked ``fuzz``: CI's fuzz tier
+equal a plain Python stable sort's, with the keys in list form (the
+dict pass) and in blob form (the short-key coding, whose scatter
+table the u16 boundary's vocabularies fill to clashing).  Marked ``fuzz``: CI's fuzz tier
 (``pytest -m fuzz``) runs it, tier-1 deselects it.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 hyp = pytest.importorskip("hypothesis")
@@ -34,13 +37,16 @@ def _vocab(k, seed):
 
 
 def _check(keys):
-    order, starts, vectorized = sort_and_group(Column.from_list(keys))
     want = sorted(range(len(keys)), key=keys.__getitem__)
     want_starts = [0] + [i for i in range(1, len(want))
                          if keys[want[i]] != keys[want[i - 1]]]
-    assert not vectorized
-    assert order.tolist() == want
-    assert starts.tolist() == want_starts + [len(keys)]
+    blob = Column(b"".join(keys),
+                  np.array([len(k) for k in keys], dtype=np.int64))
+    for col in (Column.from_list(keys), blob):
+        order, starts, vectorized = sort_and_group(col)
+        assert not vectorized
+        assert order.tolist() == want
+        assert starts.tolist() == want_starts + [len(keys)]
 
 
 @pytest.mark.fuzz

@@ -7,6 +7,7 @@ backend opens.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -20,7 +21,8 @@ from repro.analysis.cli import main as bench_main
 from repro.backend import FastBackend
 from repro.config import KNOBS, override, resolve
 from repro.errors import FrameworkError
-from repro.framework import ReduceStrategy, run_job
+from repro.framework import ReduceStrategy, run_job, run_streamed_job
+from repro.mars import run_mars_job
 from repro.obs.cli import main as trace_main
 from repro.obs.ledger import read_ledger
 from repro.workloads import WordCount
@@ -268,6 +270,35 @@ def test_bench_check_flag_is_scoped_to_the_command(monkeypatch):
     assert seen == [("strict", "flag")]
     assert "REPRO_CHECK" not in os.environ
     assert resolve().source("check") == "default"
+
+
+@pytest.mark.parametrize("driver", [run_job, run_streamed_job,
+                                    run_mars_job],
+                         ids=lambda d: d.__name__)
+def test_one_job_parses_the_backend_setting_once(driver, monkeypatch):
+    """Each driver builds its backend from the plan's resolved setting:
+    ``$REPRO_BACKEND`` is parsed once a job, and the instance still
+    goes through a call-time ``repro.backend.get_backend`` lookup."""
+    knob, parsed, passed = KNOBS["backend"], [], []
+    real_get = backend_mod.get_backend
+
+    def parse(raw):
+        parsed.append(raw)
+        return knob.parse(raw)
+
+    def get_backend(backend=None):
+        passed.append(type(backend).__name__)
+        return real_get(backend)
+
+    monkeypatch.setitem(KNOBS, "backend", dataclasses.replace(knob,
+                                                              parse=parse))
+    monkeypatch.setattr(backend_mod, "get_backend", get_backend)
+    monkeypatch.setenv("REPRO_BACKEND", "fast")
+    w = WordCount()
+    driver(w.spec(), w.generate("small", seed=0, scale=0.05),
+           strategy=ReduceStrategy.TR, store="memory")
+    assert parsed == ["fast"]
+    assert passed == ["FastBackend"]
 
 
 def test_ledger_records_the_non_default_knobs(monkeypatch):

@@ -76,7 +76,7 @@ def test_empty_ledger_limits(run_gate, capsys):
     assert "baseline 19.4 [bench], limit 34.0" in out
     assert "baseline 2.4 [bench], limit 4.2" in out
     assert "(floor 5.0x) ok" in out
-    assert "(floor 1.3x) ok" in out
+    assert "(floor 1.5x) ok" in out
     assert "autotune: 9 cases" in out
 
 
