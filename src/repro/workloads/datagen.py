@@ -9,18 +9,33 @@ generators are seeded and deterministic.
 
 Paper-scale problem sizes are scaled down ~64-256x by default (the
 simulator trades wall-clock speed for mechanism fidelity); the
-benchmark harness can raise them via the ``REPRO_SCALE`` environment
-variable.
+pytest-benchmark suite (``benchmarks/conftest.py``) can raise them via
+the ``REPRO_SCALE`` environment variable.  ``python -m bench`` does not
+read it: its workloads fix their own sizes.
+
+Each random draw is one cheap call on the seed's ``Generator`` stream
+that draws what the equivalent ``rng.choice`` call would (see
+``_letters`` and ``text_lines``), without ``choice``'s per-call argument
+checks.  Every reported figure is computed on these inputs, so a faster
+generator must not change a byte: ``tests/workloads/test_datagen.py``
+pins them and compares them with the ``choice`` loops.
 """
 
 from __future__ import annotations
 
 import string
+from bisect import bisect_right
 
 import numpy as np
 
 #: Vocabulary letters for generated words.
 _LETTERS = np.frombuffer(string.ascii_lowercase.encode(), dtype=np.uint8)
+
+
+def _letters(rng: np.random.Generator, n: int) -> bytes:
+    """``n`` random lowercase letters: the draw of
+    ``rng.choice(_LETTERS, size=n)`` without its argument checks."""
+    return _LETTERS[rng.integers(0, len(_LETTERS), size=n)].tobytes()
 
 
 def _zipf_vocabulary(rng: np.random.Generator, size: int = 4096,
@@ -30,8 +45,8 @@ def _zipf_vocabulary(rng: np.random.Generator, size: int = 4096,
     words = []
     seen = set()
     while len(words) < size:
-        ln = int(np.clip(rng.normal(mean_len, std_len), 2, 16))
-        w = bytes(rng.choice(_LETTERS, size=ln))
+        ln = int(min(max(rng.normal(mean_len, std_len), 2), 16))
+        w = _letters(rng, ln)
         if w not in seen:
             seen.add(w)
             words.append(w)
@@ -58,10 +73,20 @@ def text_lines(
     32.44 / 2.59) and consist of Zipf-distributed words, giving the
     many-occurrences-per-distinct-word profile behind WC's 68:1
     Reduce ratio.
+
+    Each word is ``bisect_right(cdf, rng.random())``, which is how
+    ``rng.choice(len(vocab), p=weights)`` draws: it builds the same
+    ``cumsum`` CDF normalised by its last entry, takes one ``random()``
+    double and searches the CDF with ``side="right"``.  So the pick is
+    that call's, byte for byte, with the CDF built once rather than per
+    word; ``tests/workloads/test_datagen.py`` pins the output and
+    compares it with the per-word ``choice`` loop.
     """
     rng = np.random.default_rng(seed)
     vocab = _zipf_vocabulary(rng, vocabulary_size)
-    weights = _zipf_weights(len(vocab), zipf_s)
+    cdf = _zipf_weights(len(vocab), zipf_s).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
     lines: list[bytes] = []
     produced = 0
     while produced < total_bytes:
@@ -69,7 +94,7 @@ def text_lines(
         ln = 0
         target = max(8, int(rng.normal(target_line_len, 2.59)))
         while ln < target:
-            w = vocab[int(rng.choice(len(vocab), p=weights))]
+            w = vocab[bisect_right(cdf, rng.random())]
             words.append(w)
             ln += len(w) + 1
         line = b" ".join(words)
@@ -93,7 +118,7 @@ def match_lines(
     produced = 0
     while produced < total_bytes:
         target = max(len(keyword) + 4, int(rng.normal(target_line_len, 2.68)))
-        body = bytes(rng.choice(_LETTERS, size=target))
+        body = _letters(rng, target)
         if rng.random() < match_ratio:
             pos = int(rng.integers(0, max(1, target - len(keyword))))
             body = body[:pos] + keyword + body[pos + len(keyword):]
@@ -125,14 +150,14 @@ def html_chunks(
     chunks: list[bytes] = []
     produced = 0
     while produced < total_bytes:
-        size = int(np.clip(rng.lognormal(mu, sigma), 8, 2048))
-        body = bytearray(rng.choice(_LETTERS, size=size))
+        size = int(min(max(rng.lognormal(mu, sigma), 8), 2048))
+        body = bytearray(_letters(rng, size))
         if rng.random() < link_ratio:
-            url_len = int(np.clip(rng.normal(link_mean, link_std), 8, 120))
-            url = b"http://" + bytes(rng.choice(_LETTERS, size=max(1, url_len - 7)))
+            url_len = int(min(max(rng.normal(link_mean, link_std), 8), 120))
+            url = b"http://" + _letters(rng, max(1, url_len - 7))
             anchor = b'<a href="' + url + b'">'
             if len(body) < len(anchor) + 1:
-                body.extend(rng.choice(_LETTERS, size=len(anchor)))
+                body.extend(_letters(rng, len(anchor)))
             pos = int(rng.integers(0, max(1, len(body) - len(anchor))))
             body[pos : pos + len(anchor)] = anchor
         chunks.append(bytes(body))
